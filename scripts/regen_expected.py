@@ -15,46 +15,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from medwer._oracles import naive_similarity
+from medwer._oracles import dp_distance, oracle_align, reference_normalize
 from medwer.corpus import load_annotations, load_manifest
 from medwer.fixtures import fixture_path
-from medwer.textnorm import _normalize_chunk, normalize
 
 
-def oracle_candidates(hypothesis: str, max_n: int = 3):
-    tokens = [t for t in (_normalize_chunk(c) for c in hypothesis.split()) if t]
-    for n in range(1, max_n + 1):
-        for start in range(len(tokens) - n + 1):
-            yield start, n, " ".join(tokens[start:start + n])
-
-
-def oracle_align(entity_text: str, hypothesis: str, threshold: float = 0.5, max_n: int = 3):
-    """Best candidate by (score desc, fewer tokens, earliest), oracle-scored."""
-    target = normalize(entity_text)
-    best = None
-    for start, n, cand in oracle_candidates(hypothesis, max_n):
-        score = naive_similarity(target, cand)
-        if score < threshold:
-            continue
-        key = (-score, n, start)
-        if best is None or key < best[0]:
-            best = (key, cand, score)
-    if best is None:
-        return None, 0.0
-    return best[1], best[2]
-
-
-def oracle_distance(ref, hyp):
-    prev = list(range(len(hyp) + 1))
-    for i in range(1, len(ref) + 1):
-        cur = [i] + [0] * len(hyp)
-        for j in range(1, len(hyp) + 1):
-            cur[j] = min(prev[j - 1] + (ref[i - 1] != hyp[j - 1]), prev[j] + 1, cur[j - 1] + 1)
-        prev = cur
-    return prev[-1]
-
-
-def main() -> int:
+def build_expected() -> dict:
+    """The expected.json document, recomputed from the golden fixtures."""
     pairs = load_manifest(fixture_path("manifest.jsonl"))
     annotations = load_annotations(fixture_path("annotations.jsonl"), pairs)
 
@@ -64,8 +31,9 @@ def main() -> int:
         alignment = []
         recovered_parts = []
         for entity in entities:
-            cand, score = oracle_align(entity.text, pair.hypothesis)
-            exact = cand is not None and cand == normalize(entity.text)
+            best = oracle_align(entity.text, pair.hypothesis)
+            cand, score = (None, 0.0) if best is None else (best.normalized, best.score)
+            exact = cand is not None and cand == reference_normalize(entity.text)
             if cand is not None:
                 recovered_parts.append(cand)
             alignment.append({
@@ -76,17 +44,17 @@ def main() -> int:
                 "exact": exact,
                 "check": "trivial" if cand is None else ("golden" if exact else "oracle"),
             })
-        gt = " ".join(normalize(e.text) for e in entities)
+        gt = " ".join(reference_normalize(e.text) for e in entities)
         rec = " ".join(recovered_parts)
-        ref_words = normalize(pair.reference).split()
-        hyp_words = normalize(pair.hypothesis).split()
+        ref_words = reference_normalize(pair.reference).split()
+        hyp_words = reference_normalize(pair.hypothesis).split()
         samples[pair.id] = {
             "alignment": alignment,
-            "wer": {"errors": oracle_distance(ref_words, hyp_words),
+            "wer": {"errors": dp_distance(ref_words, hyp_words),
                     "ref_len": len(ref_words), "check": "oracle"},
-            "mwer": {"errors": oracle_distance(gt.split(), rec.split()),
+            "mwer": {"errors": dp_distance(gt.split(), rec.split()),
                      "ref_len": len(gt.split()), "check": "oracle"},
-            "mcer": {"errors": oracle_distance(gt, rec),
+            "mcer": {"errors": dp_distance(gt, rec),
                      "ref_len": len(gt), "check": "oracle"},
             "recall": {cat.value: {
                 "recalled": sum(1 for a, e in zip(alignment, entities)
@@ -96,9 +64,16 @@ def main() -> int:
             } for cat in sorted({e.category for e in entities}, key=lambda c: c.value)},
         }
 
-    doc = {"version": "v1", "threshold": 0.5, "max_ngram": 3, "samples": samples}
+    return {"version": "v1", "threshold": 0.5, "max_ngram": 3, "samples": samples}
+
+
+def render(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def main() -> int:
     out = fixture_path("expected.json")
-    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    out.write_text(render(build_expected()), encoding="utf-8")
     print(f"wrote {out}")
     return 0
 

@@ -9,7 +9,7 @@ corpus level.
 from .align import (AlignedEntity, EntityAnnotation, EntityCategory,
                     ground_truth_sequence, med_text_align, recovered_sequence)
 from .corpus import (AnnotationSet, AnnotationError, FileNerSource, IngestionError,
-                     ManifestError, NerSource, Report, TranscriptPair,
+                     ManifestError, NerSource, Report, ReportError, TranscriptPair,
                      fetch_annotations, load_annotations, load_manifest,
                      load_report, write_report)
 from .fuzzy import MatchBlock, longest_match, matching_blocks, similarity_ratio
@@ -25,7 +25,7 @@ __all__ = [
     "AlignedEntity", "AnnotationError", "AnnotationSet", "CandidateSpan",
     "CorpusMetrics", "EditCounts", "EntityAnnotation", "EntityCategory",
     "FileNerSource", "IngestionError", "ManifestError", "MatchBlock",
-    "NerSource", "RecallCount", "Report", "RunConfig", "SampleMetrics",
+    "NerSource", "RecallCount", "Report", "ReportError", "RunConfig", "SampleMetrics",
     "Token", "TokenSequence", "TranscriptPair", "aggregate", "align_corpus",
     "edit_distance", "entity_recall", "evaluate_corpus", "evaluate_sample",
     "fetch_annotations", "ground_truth_sequence", "load_annotations",

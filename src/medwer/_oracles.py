@@ -3,10 +3,13 @@
 Nothing here shares code with the production modules. The self-check and the
 test suite use these to regenerate derived expectations from first
 principles: an exhaustive-table longest-block search for the similarity
-ratio, and an all-alignments recursion for edit distance.
+ratio, an all-alignments recursion for edit distance, a character loop for
+normalization, and an every-candidate scan for the alignment.
 """
 
+import unicodedata
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def naive_longest_block(a, b, alo, ahi, blo, bhi):
@@ -120,3 +123,59 @@ def lcs_subsequence_length(a, b):
             cur[j + 1] = prev[j] + 1 if a[i] == b[j] else max(prev[j + 1], cur[j])
         prev = cur
     return prev[-1]
+
+
+def reference_normalize_chunk(chunk):
+    """Lowercase one whitespace-free chunk and drop its punctuation, keeping
+    a hyphen, apostrophe or period only between two alphanumerics."""
+    low = chunk.lower()
+    out = []
+    for i, ch in enumerate(low):
+        if not unicodedata.category(ch).startswith("P"):
+            out.append(ch)
+        elif ch in "-'." and 0 < i < len(low) - 1 and low[i - 1].isalnum() and low[i + 1].isalnum():
+            out.append(ch)
+    return "".join(out)
+
+
+def reference_tokens(text, mode="standard"):
+    """(surface, normalized) per whitespace-delimited chunk that keeps a
+    non-empty normalized form."""
+    pairs = [(c, c if mode == "raw" else reference_normalize_chunk(c)) for c in text.split()]
+    return [(surface, norm) for surface, norm in pairs if norm]
+
+
+def reference_normalize(text, mode="standard"):
+    return " ".join(norm for _, norm in reference_tokens(text, mode))
+
+
+def oracle_candidates(hypothesis, max_n=3, mode="standard"):
+    """Every n-gram, n = 1..max_n, as (start, n, surface, normalized)."""
+    tokens = reference_tokens(hypothesis, mode)
+    for n in range(1, max_n + 1):
+        for start in range(len(tokens) - n + 1):
+            window = tokens[start:start + n]
+            yield (start, n, " ".join(s for s, _ in window), " ".join(t for _, t in window))
+
+
+class OracleMatch(NamedTuple):
+    start_token: int
+    length_tokens: int
+    surface: str
+    normalized: str
+    score: float
+
+
+def oracle_align(entity_text, hypothesis, threshold=0.5, max_n=3, mode="standard"):
+    """The best candidate by (score desc, fewer tokens, earliest start),
+    scored against every n-gram; None when none reaches the threshold."""
+    target = reference_normalize(entity_text, mode)
+    best = None
+    for start, n, surface, cand in oracle_candidates(hypothesis, max_n, mode):
+        score = naive_similarity(target, cand)
+        if score < threshold:
+            continue
+        key = (-score, n, start)
+        if best is None or key < best[0]:
+            best = (key, OracleMatch(start, n, surface, cand, score))
+    return None if best is None else best[1]

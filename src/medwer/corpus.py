@@ -56,6 +56,10 @@ class AnnotationError(IngestionError):
     pass
 
 
+class ReportError(IngestionError):
+    """A json report could not be read back."""
+
+
 @dataclass(frozen=True)
 class TranscriptPair:
     """One evaluation sample: reference transcript and ASR hypothesis."""
@@ -250,6 +254,10 @@ def fetch_annotations(source: NerSource, pairs: list[TranscriptPair],
             entities = tuple(source.annotate(pair))
         except IngestionError as e:
             failures.append(str(e))
+            continue
+        except Exception as e:  # any source fault costs that sample only
+            log.debug("annotation source failed on %r", pair.id, exc_info=True)
+            failures.append(f"annotation source failed on {pair.id!r}: {type(e).__name__}: {e}")
             continue
         out[pair.id] = AnnotationSet(pair.id, tuple(sorted(entities, key=lambda x: (x.begin, x.end))))
     if failures:
@@ -480,15 +488,29 @@ def _corpus_from(obj: dict) -> CorpusMetrics:
 
 
 def load_report(path) -> Report:
-    """Read back a json report; counts and rates survive a write/load/write cycle."""
+    """Read back a json report; counts and rates survive a write/load/write cycle.
+
+    Raises ReportError, naming the path, on malformed JSON or on a document
+    that is not a report.
+    """
     with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
-    per_sample = None
-    if "per_sample" in doc:
-        per_sample = [SampleMetrics(s["id"], _counts_from(s["wer"]), _counts_from(s["mwer"]),
-                                    _counts_from(s["mcer"]), _recall_from(s["recall"]))
-                      for s in doc["per_sample"]]
-    groups = None
-    if "groups" in doc:
-        groups = {key: _corpus_from(value) for key, value in doc["groups"].items()}
-    return Report(doc.get("config"), _corpus_from(doc["corpus"]), per_sample, groups)
+        try:
+            doc = json.load(handle)
+        except json.JSONDecodeError as e:
+            raise ReportError(f"{path}: malformed JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ReportError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    try:
+        per_sample = None
+        if "per_sample" in doc:
+            per_sample = [SampleMetrics(s["id"], _counts_from(s["wer"]), _counts_from(s["mwer"]),
+                                        _counts_from(s["mcer"]), _recall_from(s["recall"]))
+                          for s in doc["per_sample"]]
+        groups = None
+        if "groups" in doc:
+            groups = {key: _corpus_from(value) for key, value in doc["groups"].items()}
+        return Report(doc.get("config"), _corpus_from(doc["corpus"]), per_sample, groups)
+    except KeyError as e:
+        raise ReportError(f"{path}: not a medwer report: missing field {e.args[0]!r}") from e
+    except (TypeError, ValueError, AttributeError) as e:
+        raise ReportError(f"{path}: not a medwer report: {e}") from e

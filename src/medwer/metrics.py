@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .align import AlignedEntity, EntityCategory, ground_truth_sequence, recovered_sequence
-from .textnorm import tokenize
+from .textnorm import TokenSequence, tokenize
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,15 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> EditCounts:
     return EditCounts(subs, ins, dels, hits, ref_len)
 
 
-def wer(reference: str, hypothesis: str, mode: str = "standard") -> EditCounts:
-    """Word error rate counts over normalized word tokens of both transcripts."""
-    return edit_distance(tokenize(reference, mode).normalized_words(),
-                         tokenize(hypothesis, mode).normalized_words())
+def wer(reference: str | TokenSequence, hypothesis: str | TokenSequence,
+        mode: str = "standard") -> EditCounts:
+    """Word error rate counts over normalized word tokens of both transcripts.
+
+    Either side may be passed already tokenized, under the same mode.
+    """
+    ref = reference if isinstance(reference, TokenSequence) else tokenize(reference, mode)
+    hyp = hypothesis if isinstance(hypothesis, TokenSequence) else tokenize(hypothesis, mode)
+    return edit_distance(ref.normalized_words(), hyp.normalized_words())
 
 
 def medical_wer(aligned: list[AlignedEntity], mode: str = "standard") -> EditCounts:

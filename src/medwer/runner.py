@@ -7,14 +7,17 @@ the report independent of the worker count.
 
 import logging
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
-from .align import DEFAULT_THRESHOLD, EntityAnnotation, med_text_align, shared_span_count
+from .align import (DEFAULT_THRESHOLD, AlignedEntity, EntityAnnotation, med_text_align,
+                    shared_span_count)
 from .corpus import REPORT_FORMATS, AnnotationSet, TranscriptPair
 from .metrics import (CorpusMetrics, SampleMetrics, aggregate, entity_recall,
                       medical_cer, medical_wer, wer)
-from .textnorm import DEFAULT_MAX_NGRAM, NORMALIZATION_MODES
+from .textnorm import DEFAULT_MAX_NGRAM, NORMALIZATION_MODES, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -58,38 +61,50 @@ class RunConfig:
                 "normalization": self.normalization}
 
 
+def _eval_task(task) -> tuple[list[AlignedEntity], SampleMetrics | None]:
+    """Score one sample; the unit of work of the pool.
+
+    The hypothesis is tokenized once, for the alignment and for WER. The
+    metrics are computed only when the task asks for them, so alignment
+    runs pay for none of them.
+    """
+    pair, entities, threshold, max_n, mode, scored = task
+    hypothesis = tokenize(pair.hypothesis, mode)
+    aligned = med_text_align(list(entities), hypothesis, threshold, max_n, mode)
+    if not scored:
+        return aligned, None
+    return aligned, SampleMetrics(
+        sample_id=pair.id,
+        wer=wer(pair.reference, hypothesis, mode),
+        mwer=medical_wer(aligned, mode),
+        mcer=medical_cer(aligned, mode),
+        recall=entity_recall(aligned),
+    )
+
+
 def evaluate_sample(pair: TranscriptPair, entities: tuple[EntityAnnotation, ...],
                     threshold: float = DEFAULT_THRESHOLD, max_n: int = DEFAULT_MAX_NGRAM,
                     mode: str = "standard") -> SampleMetrics:
-    aligned = med_text_align(list(entities), pair.hypothesis, threshold, max_n, mode)
-    return SampleMetrics(
-        sample_id=pair.id,
-        wer=wer(pair.reference, pair.hypothesis, mode),
-        mwer=medical_wer(aligned, mode),
-        mcer=medical_cer(aligned, mode),
-        recall=entity_recall(aligned),
-    )
+    """The metrics of one sample, computed as evaluate_corpus computes them."""
+    return _eval_task((pair, entities, threshold, max_n, mode, True))[1]
 
 
-def _eval_task(task) -> tuple[SampleMetrics, int]:
-    pair, entities, threshold, max_n, mode = task
-    aligned = med_text_align(list(entities), pair.hypothesis, threshold, max_n, mode)
-    sample = SampleMetrics(
-        sample_id=pair.id,
-        wer=wer(pair.reference, pair.hypothesis, mode),
-        mwer=medical_wer(aligned, mode),
-        mcer=medical_cer(aligned, mode),
-        recall=entity_recall(aligned),
-    )
-    return sample, shared_span_count(aligned)
+def _run_tasks(pairs: list[TranscriptPair], annotations: dict[str, AnnotationSet], cfg: RunConfig,
+               scored: bool) -> Iterator[tuple[list[AlignedEntity], SampleMetrics | None]]:
+    """_eval_task over the pairs, yielded in order, serially or on a pool of
+    at most one process per sample and per core.
 
-
-def _run_tasks(tasks: list, workers: int) -> list:
-    if workers > 1 and len(tasks) > 1:
+    Results stream so that each alignment can be dropped once consumed.
+    """
+    tasks = [(pair, annotations[pair.id].entities if pair.id in annotations else (),
+              cfg.threshold, cfg.max_ngram, cfg.normalization, scored) for pair in pairs]
+    workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         chunksize = max(1, len(tasks) // (workers * 4))
         with multiprocessing.Pool(workers) as pool:
-            return pool.map(_eval_task, tasks, chunksize=chunksize)
-    return [_eval_task(task) for task in tasks]
+            yield from pool.imap(_eval_task, tasks, chunksize=chunksize)
+    else:
+        yield from map(_eval_task, tasks)
 
 
 def evaluate_corpus(pairs: list[TranscriptPair], annotations: dict[str, AnnotationSet],
@@ -99,11 +114,11 @@ def evaluate_corpus(pairs: list[TranscriptPair], annotations: dict[str, Annotati
     Samples without an annotation record are scored with zero entities and
     show up in the skipped_zero_entity count.
     """
-    tasks = [(pair, annotations[pair.id].entities if pair.id in annotations else (),
-              cfg.threshold, cfg.max_ngram, cfg.normalization) for pair in pairs]
-    results = _run_tasks(tasks, cfg.workers)
-    samples = [sample for sample, _ in results]
-    reused = sum(count for _, count in results)
+    samples = []
+    reused = 0
+    for aligned, sample in _run_tasks(pairs, annotations, cfg, scored=True):
+        samples.append(sample)
+        reused += shared_span_count(aligned)
     if reused:
         log.info("%d entities aligned to a hypothesis span shared with another entity", reused)
 
@@ -117,43 +132,32 @@ def evaluate_corpus(pairs: list[TranscriptPair], annotations: dict[str, Annotati
     return aggregate(samples), samples, groups
 
 
-def _align_task(task) -> list[dict]:
-    pair, entities, threshold, max_n, mode = task
-    aligned = med_text_align(list(entities), pair.hypothesis, threshold, max_n, mode)
-    records = []
-    for ae in aligned:
-        candidate = None
-        if ae.candidate is not None:
-            candidate = {
-                "surface": ae.candidate.surface,
-                "normalized": ae.candidate.normalized,
-                "start_token": ae.candidate.start_token,
-                "length_tokens": ae.candidate.length_tokens,
-            }
-        records.append({
-            "id": pair.id,
-            "entity": {
-                "text": ae.entity.text,
-                "category": ae.entity.category.value,
-                "begin": ae.entity.begin,
-                "end": ae.entity.end,
-            },
-            "candidate": candidate,
-            "score": ae.score,
-            "exact": ae.exact,
-        })
-    return records
-
-
 def align_corpus(pairs: list[TranscriptPair], annotations: dict[str, AnnotationSet],
                  cfg: RunConfig) -> list[dict]:
     """Per-entity alignment records, ordered by (sample id, entity begin)."""
     ordered = sorted(pairs, key=lambda p: p.id)
-    tasks = [(pair, annotations[pair.id].entities if pair.id in annotations else (),
-              cfg.threshold, cfg.max_ngram, cfg.normalization) for pair in ordered]
-    if cfg.workers > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(cfg.workers) as pool:
-            nested = pool.map(_align_task, tasks, chunksize=max(1, len(tasks) // (cfg.workers * 4)))
-    else:
-        nested = [_align_task(task) for task in tasks]
-    return [record for records in nested for record in records]
+    results = _run_tasks(ordered, annotations, cfg, scored=False)
+    return [_record(pair.id, ae) for pair, (aligned, _) in zip(ordered, results) for ae in aligned]
+
+
+def _record(sample_id: str, ae: AlignedEntity) -> dict:
+    candidate = None
+    if ae.candidate is not None:
+        candidate = {
+            "surface": ae.candidate.surface,
+            "normalized": ae.candidate.normalized,
+            "start_token": ae.candidate.start_token,
+            "length_tokens": ae.candidate.length_tokens,
+        }
+    return {
+        "id": sample_id,
+        "entity": {
+            "text": ae.entity.text,
+            "category": ae.entity.category.value,
+            "begin": ae.entity.begin,
+            "end": ae.entity.end,
+        },
+        "candidate": candidate,
+        "score": ae.score,
+        "exact": ae.exact,
+    }

@@ -67,6 +67,10 @@ def _normalize_chunk(chunk: str) -> str:
     period with alphanumeric neighbours on both sides.
     """
     low = chunk.lower()
+    # No code point is both alphanumeric and in a P* category, so an
+    # all-alphanumeric chunk has nothing to drop.
+    if low.isalnum():
+        return low
     n = len(low)
     out = []
     for i, ch in enumerate(low):

@@ -1,13 +1,14 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import annotated_sample
+from medwer._oracles import oracle_align, reference_normalize
 from medwer.align import (EntityAnnotation, EntityCategory, ground_truth_sequence,
                           med_text_align, recovered_sequence, shared_span_count)
 from medwer.fixtures import load_golden
 from medwer.fuzzy import similarity_ratio
-from medwer.textnorm import normalize
+from medwer.textnorm import normalize, tokenize
 
 
 def _entity(text, begin, category=EntityCategory.MED):
@@ -172,3 +173,45 @@ def test_scores_are_reproducible(sample):
             assert ae.score >= 0.5
         else:
             assert ae.score == 0.0
+
+
+# Few words, so hypotheses repeat them (the dedup tie-break); mixed case,
+# non-ASCII letters, flanked and unflanked punctuation, punctuation-only tokens.
+_hyp_word = st.one_of(
+    st.sampled_from(["dikod", "sin", "Sin", "a", "ab", "ba", "b", "ab.", "a-b", "-", ",", "...",
+                     "ñu", "Ñu", "ÉTÉ", "straße", "İ", "x'y", "'", "—"]),
+    st.text(alphabet="abñÉ-'.,", min_size=1, max_size=4),
+)
+
+
+@st.composite
+def _alignment_case(draw):
+    words = draw(st.lists(_hyp_word, max_size=14))
+    hypothesis = " ".join(words)
+    texts = draw(st.lists(st.one_of(
+        st.integers(0, max(0, len(words) - 1)).flatmap(
+            lambda i: st.integers(1, 3).map(lambda n: " ".join(words[i:i + n]))),
+        st.lists(_hyp_word, min_size=1, max_size=3).map(" ".join),
+    ), max_size=4))
+    entities = [_entity(text or "x", 100 * i) for i, text in enumerate(texts)]
+    threshold = draw(st.one_of(st.sampled_from([0.5, 2 / 3, 1.0]), st.floats(0.05, 1.0)))
+    return (entities, hypothesis, threshold, draw(st.integers(1, 4)),
+            draw(st.sampled_from(["standard", "raw"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_alignment_case())
+# "b" and "ab b" both score 2/3 against "bb"; the unigram wins although it starts later
+@example(([_entity("bb", 0)], "ab b", 0.5, 2, "standard"))
+def test_matches_every_candidate_oracle(case):
+    entities, hypothesis, threshold, max_n, mode = case
+    aligned = med_text_align(entities, hypothesis, threshold, max_n, mode)
+    assert aligned == med_text_align(entities, tokenize(hypothesis, mode), threshold, max_n, mode)
+    for ae in aligned:
+        want = oracle_align(ae.entity.text, hypothesis, threshold, max_n, mode)
+        if want is None:
+            assert (ae.candidate, ae.score, ae.exact) == (None, 0.0, False)
+            continue
+        got = ae.candidate
+        assert (got.start_token, got.length_tokens, got.surface, got.normalized, ae.score) == want
+        assert ae.exact == (want.normalized == reference_normalize(ae.entity.text, mode))

@@ -5,8 +5,8 @@ import pytest
 
 from helpers import dump_corpus, write_jsonl
 from medwer.align import EntityCategory
-from medwer.corpus import (AnnotationError, FileNerSource, ManifestError,
-                           fetch_annotations, load_annotations, load_manifest,
+from medwer.corpus import (AnnotationError, FileNerSource, IngestionError, ManifestError,
+                           ReportError, fetch_annotations, load_annotations, load_manifest,
                            load_report, render_table, write_report)
 from medwer.fixtures import load_golden, synthetic_corpus
 from medwer.runner import RunConfig, evaluate_corpus
@@ -266,3 +266,39 @@ def test_identical_inputs_write_identical_bytes(tmp_path):
         write_report(corpus, samples, fmt, a, config=cfg.config_dict(), groups=groups)
         write_report(corpus, samples, fmt, b, config=cfg.config_dict(), groups=groups)
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("content, match", [
+    ('{"per_sample": []}\n', r"missing field 'corpus'"),
+    ('{"corpus": {"wer": {"substitutions": 1}', r"malformed JSON"),
+    ('[1, 2]\n', r"expected a JSON object"),
+])
+def test_load_report_rejects_foreign_or_truncated_json(tmp_path, content, match):
+    path = tmp_path / "r.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ReportError, match=match) as info:
+        load_report(path)
+    assert str(path) in str(info.value)
+    assert isinstance(info.value, IngestionError)
+
+
+class _FlakySource:
+    """Annotates every pair with no entities, but crashes on one id."""
+
+    def __init__(self, bad_id):
+        self.bad_id = bad_id
+
+    def annotate(self, pair):
+        if pair.id == self.bad_id:
+            raise RuntimeError("service unavailable")
+        return ()
+
+
+def test_fetch_annotations_wraps_any_source_failure(tmp_path):
+    pairs = load_manifest(write_jsonl(tmp_path / "m.jsonl", [
+        {"id": "s1", "reference": "a", "hypothesis": "a"},
+        {"id": "s2", "reference": "b", "hypothesis": "b"}]))
+    source = _FlakySource("s2")
+    with pytest.raises(AnnotationError, match=r"'s2'.*RuntimeError: service unavailable"):
+        fetch_annotations(source, pairs, strict=True)
+    assert set(fetch_annotations(source, pairs)) == {"s1"}

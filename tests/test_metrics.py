@@ -11,6 +11,7 @@ from medwer.fixtures import load_golden
 from medwer.metrics import (CorpusMetrics, EditCounts, RecallCount, SampleMetrics,
                             aggregate, edit_distance, entity_recall, medical_cer,
                             medical_wer, wer)
+from medwer.textnorm import tokenize
 
 tokens = st.lists(st.sampled_from("abc"), max_size=6)
 
@@ -78,6 +79,14 @@ def test_wer_empty_hypothesis():
 def test_wer_raw_mode():
     assert wer("Cough", "cough", mode="raw").rate == 1.0
     assert wer("Cough", "cough").rate == 0.0
+
+
+@given(st.text(alphabet="aAb ,.", max_size=20), st.text(alphabet="aAb ,.", max_size=20),
+       st.sampled_from(["standard", "raw"]))
+def test_wer_takes_either_side_pretokenized(reference, hypothesis, mode):
+    want = wer(reference, hypothesis, mode)
+    assert wer(tokenize(reference, mode), hypothesis, mode) == want
+    assert wer(reference, tokenize(hypothesis, mode), mode) == want
 
 
 def test_medical_wer_table_row_one():

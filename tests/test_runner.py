@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import pytest
 
 from medwer.align import EntityCategory
@@ -85,3 +88,37 @@ def test_align_corpus_ordering_and_content():
     assert [r["candidate"]["normalized"] for r in t2r1] == ["quinidan", "disopiramid", "dikod sin"]
     empty = [r for r in records if r["id"] == "t1_empty"]
     assert all(r["candidate"] is None and r["score"] == 0.0 for r in empty)
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, runs tasks inline."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("run", [evaluate_corpus, align_corpus])
+@pytest.mark.parametrize("cpus, n_samples, pool_size", [
+    (3, 5, 3),      # clamped to the cores
+    (8, 5, 5),      # clamped to the tasks
+    (None, 5, None),  # unknown core count: one worker, so no pool at all
+])
+def test_worker_count_is_clamped(monkeypatch, run, cpus, n_samples, pool_size):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    pairs, annotations = synthetic_corpus(n_samples, seed=4, tokens_per_sample=8)
+    pooled = run(pairs, annotations, RunConfig(workers=10000))
+    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert pooled == run(pairs, annotations, RunConfig(workers=1))

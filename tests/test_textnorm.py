@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from medwer.textnorm import ngrams, normalize, tokenize
+from medwer._oracles import reference_normalize_chunk
+from medwer.textnorm import _normalize_chunk, ngrams, normalize, tokenize
 
 messy = st.text(alphabet="aAbB xyZ-'.,;!?\t\n", max_size=40)
 
@@ -118,3 +119,8 @@ def test_ngram_reconstruction(text, max_n):
         window = seq.tokens[span.start_token:span.start_token + span.length_tokens]
         assert span.normalized == " ".join(t.normalized for t in window)
         assert span.surface == " ".join(t.surface for t in window)
+
+
+@given(st.text())
+def test_normalize_chunk_matches_reference(text):
+    assert _normalize_chunk(text) == reference_normalize_chunk(text)
