@@ -3,8 +3,9 @@
 Nothing here shares code with the production modules. The self-check and the
 test suite use these to regenerate derived expectations from first
 principles: an exhaustive-table longest-block search for the similarity
-ratio, an all-alignments recursion for edit distance, a character loop for
-normalization, and an every-candidate scan for the alignment.
+ratio, an all-alignments recursion and a full-table backtrace for edit
+distance, a character loop for normalization, and an every-candidate scan
+for the alignment.
 """
 
 import unicodedata
@@ -97,6 +98,62 @@ def dp_distance(ref, hyp):
             cur[j] = min(prev[j - 1] + (ri != hyp[j - 1]), prev[j] + 1, cur[j - 1] + 1)
         prev = cur
     return prev[-1]
+
+
+def reference_edit_counts(ref, hyp):
+    """(substitutions, insertions, deletions, hits) from the full DP table.
+
+    The backtrace walks from the end and prefers match, then substitution,
+    then deletion, then insertion among cost-equal steps. Keeps all
+    (n+1)*(m+1) cells, so it is for short inputs and single large checks.
+    """
+    n, m = len(ref), len(hyp)
+    # A trailing match is always on the preferred backtrace, so equal
+    # suffixes can be consumed up front.
+    hits = 0
+    while n > 0 and m > 0 and ref[n - 1] == hyp[m - 1]:
+        n -= 1
+        m -= 1
+        hits += 1
+    if n == 0 and m == 0:
+        return 0, 0, 0, hits
+
+    rows = [list(range(m + 1))]
+    for i in range(1, n + 1):
+        prev = rows[i - 1]
+        row = [i] * (m + 1)
+        ri = ref[i - 1]
+        for j in range(1, m + 1):
+            if ri == hyp[j - 1]:
+                row[j] = prev[j - 1]
+            else:
+                best = prev[j - 1]
+                if prev[j] < best:
+                    best = prev[j]
+                if row[j - 1] < best:
+                    best = row[j - 1]
+                row[j] = best + 1
+        rows.append(row)
+
+    subs = ins = dels = 0
+    i, j = n, m
+    while i > 0 or j > 0:
+        cur = rows[i][j]
+        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and rows[i - 1][j - 1] == cur:
+            hits += 1
+            i -= 1
+            j -= 1
+        elif i > 0 and j > 0 and rows[i - 1][j - 1] + 1 == cur:
+            subs += 1
+            i -= 1
+            j -= 1
+        elif i > 0 and rows[i - 1][j] + 1 == cur:
+            dels += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return subs, ins, dels, hits
 
 
 def lcs_substring_length(a, b):

@@ -15,15 +15,24 @@ text is one of those strings takes it with score 1.0 by lookup: only an
 identical string scores 1.0. Every other entity scans the candidates
 grouped by length, in decreasing order of the length bound
 2*min(t, c)/(t + c) on the ratio, and stops at the first group whose bound
-is below the threshold or the best score found so far; inside a group a
-character-count bound screens each candidate before the full ratio. Both
-bounds are true upper bounds (difflib's real_quick_ratio and quick_ratio),
-so the scan order and the early stop change no result.
+is below the threshold or the best score found so far. Inside a group the
+character-count bound 2*overlap/(t + c), with overlap the size of the
+multiset intersection of the two strings' characters, screens each
+candidate; those that pass are scored with the full ratio highest bound
+first. Both bounds are true upper bounds (difflib's real_quick_ratio and
+quick_ratio), so the scan order and the early stop change no result. The
+character overlaps of a target with a whole length group come from count
+columns, one per character and length with a byte per candidate, added as
+big ints. A target that recurs in a sample reuses its first result.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from heapq import heappop, heappush
+from itertools import repeat
 
 from .fuzzy import similarity_ratio
 from .textnorm import DEFAULT_MAX_NGRAM, CandidateSpan, TokenSequence, normalize, tokenize
@@ -63,13 +72,15 @@ class AlignedEntity:
     """Alignment result for one entity.
 
     candidate is None when nothing reached the threshold; then score is 0.
-    exact means the normalized candidate equals the normalized entity text.
+    target is the normalized entity text the candidates were scored against;
+    exact means the normalized candidate equals it.
     """
 
     entity: EntityAnnotation
     candidate: CandidateSpan | None
     score: float
     exact: bool
+    target: str
 
 
 def med_text_align(entities: list[EntityAnnotation], hypothesis: str | TokenSequence,
@@ -93,25 +104,27 @@ def med_text_align(entities: list[EntityAnnotation], hypothesis: str | TokenSequ
     seq = hypothesis if isinstance(hypothesis, TokenSequence) else tokenize(hypothesis, mode)
     tokens = seq.tokens
     first = _distinct_ngrams([t.normalized for t in tokens], max_n)
-    by_length: dict[int, list[str]] = {}
-    for text in first:
-        by_length.setdefault(len(text), []).append(text)
-    counters: dict[str, Counter] = {}
+    candidates: _Candidates | None = None  # built for the first entity not matched exactly
+    found: dict[str, tuple[str | None, float]] = {}
 
     aligned = []
     for entity in entities:
         target = normalize(entity.text, mode)
         if target in first:
             best, score = target, 1.0
+        elif target in found:
+            best, score = found[target]
         else:
-            best, score = _closest(target, by_length, first, counters, threshold)
+            if candidates is None:
+                candidates = _Candidates(first)
+            best, score = found[target] = _closest(target, candidates, threshold)
         if best is None:
-            aligned.append(AlignedEntity(entity, None, 0.0, False))
+            aligned.append(AlignedEntity(entity, None, 0.0, False, target))
             continue
         length, start = first[best]
         surface = " ".join(t.surface for t in tokens[start:start + length])
         aligned.append(AlignedEntity(entity, CandidateSpan(start, length, surface, best),
-                                     score, best == target))
+                                     score, best == target, target))
     return aligned
 
 
@@ -129,40 +142,100 @@ def _distinct_ngrams(words: list[str], max_n: int) -> dict[str, tuple[int, int]]
     return first
 
 
-def _closest(target: str, by_length: dict[int, list[str]], first: dict[str, tuple[int, int]],
-             counters: dict[str, Counter], threshold: float) -> tuple[str | None, float]:
+# A byte lane holds the character overlap of a candidate of at most this length.
+_LANE_MAX = 255
+
+
+@cache
+def _cap(n: int) -> bytes:
+    """The bytes.translate table of b -> min(b, n)."""
+    return bytes(min(b, n) for b in range(256))
+
+
+class _Candidates:
+    """The distinct candidate strings of one sample, ordered by length.
+
+    For each character a target contains and each length the target's scan
+    reaches, the count of that character in every string of that length is
+    kept as one byte per string, built on first use and shared by the
+    sample's entities.
+    """
+
+    def __init__(self, first: dict[str, tuple[int, int]]):
+        self.first = first
+        self.strings = sorted(first, key=len)
+        lengths = list(map(len, self.strings))
+        self.groups = {n: (bisect_left(lengths, n), bisect_right(lengths, n)) for n in set(lengths)}
+        self.columns: dict[tuple[str, int], bytes] = {}
+
+    def overlaps(self, tcounter: Counter, clen: int) -> bytes | list[int]:
+        """Item k is the size of the multiset intersection of the target's
+        characters, given as tcounter, and those of the k-th string of
+        length clen.
+
+        Up to _LANE_MAX, each character's capped counts are added as one big
+        int with a byte per string; a sum never exceeds clen, so no byte
+        carries into the next. Longer strings are counted directly.
+        """
+        lo, hi = self.groups[clen]
+        group = self.strings[lo:hi]
+        if clen > _LANE_MAX:
+            return [sum(min(n, cand.count(ch)) for ch, n in tcounter.items()) for cand in group]
+        lanes = 0
+        for ch, n in tcounter.items():
+            column = self.columns.get((ch, clen))
+            if column is None:
+                column = self.columns[ch, clen] = bytes(map(str.count, group, repeat(ch)))
+            lanes += int.from_bytes(column.translate(_cap(n)), "little")
+        return lanes.to_bytes(hi - lo, "little")
+
+
+def _closest(target: str, candidates: _Candidates, threshold: float) -> tuple[str | None, float]:
     """The best-keyed candidate string scoring at least threshold, and its score.
 
     Upper bounds on the ratio let most candidates be rejected without
     running the full block decomposition. Both bounds share the ratio's
     denominator, so the comparisons are exact, and every comparison is
     strict, so a candidate that could tie the best is always scored.
+    Candidates that pass the character-count bound wait in a heap and are
+    scored highest bound first, so the best score rises as early as it can.
     """
     tlen = len(target)
     tcounter = Counter(target)
+    strings = candidates.strings
     best: str | None = None
     best_key: tuple | None = None
     best_score = 0.0
-    bounds = sorted(((2.0 * min(tlen, clen) / (tlen + clen), clen) for clen in by_length),
+    pending: list[tuple[float, str]] = []  # (-character bound, candidate)
+    bounds = sorted(((2.0 * min(tlen, clen) / (tlen + clen), clen) for clen in candidates.groups),
                     reverse=True)
-    for bound, clen in bounds:
-        if bound < threshold or bound < best_score:
-            break
-        total = tlen + clen
-        for cand in by_length[clen]:
-            ccounter = counters.get(cand)
-            if ccounter is None:
-                ccounter = counters[cand] = Counter(cand)
-            overlap = sum(min(n, ccounter[ch]) for ch, n in tcounter.items() if ch in ccounter)
-            char_bound = 2.0 * overlap / total
-            if char_bound < threshold or char_bound < best_score:
-                continue
+    for bound, clen in [*bounds, (-1.0, 0)]:
+        # A candidate's character bound never exceeds its length bound, so a
+        # pending candidate at or above this group's bound outranks the
+        # group and every group after it; -1.0 drains the heap at the end.
+        while pending and -pending[0][0] >= bound:
+            neg_bound, cand = heappop(pending)
+            if -neg_bound < best_score:
+                pending.clear()
+                break
             score = similarity_ratio(target, cand)
             if score < threshold:
                 continue
-            key = (-score, *first[cand])
+            key = (-score, *candidates.first[cand])
             if best_key is None or key < best_key:
                 best, best_key, best_score = cand, key, score
+        floor = max(threshold, best_score)
+        if bound < floor:
+            break
+        lo, hi = candidates.groups[clen]
+        group_overlaps = candidates.overlaps(tcounter, clen)
+        total = tlen + clen
+        if 2.0 * max(group_overlaps) / total < floor:
+            continue
+        for cand, overlap in zip(strings[lo:hi], group_overlaps):
+            char_bound = 2.0 * overlap / total
+            if char_bound >= floor:
+                heappush(pending, (-char_bound, cand))
     return best, best_score
 
 
@@ -175,10 +248,10 @@ def recovered_sequence(aligned: list[AlignedEntity]) -> str:
                     if ae.candidate is not None and ae.candidate.normalized)
 
 
-def ground_truth_sequence(aligned: list[AlignedEntity], mode: str = "standard") -> str:
-    """Normalized entity texts joined by single spaces, in entity order."""
-    parts = (normalize(ae.entity.text, mode) for ae in aligned)
-    return " ".join(p for p in parts if p)
+def ground_truth_sequence(aligned: list[AlignedEntity]) -> str:
+    """Normalized entity texts joined by single spaces, in entity order,
+    under the mode the entities were aligned with."""
+    return " ".join(ae.target for ae in aligned if ae.target)
 
 
 def shared_span_count(aligned: list[AlignedEntity]) -> int:

@@ -109,6 +109,13 @@ def _require(record: dict, key: str, where: str, err: type[IngestionError]):
     return record[key]
 
 
+def _annotation_id(record: dict, where: str) -> str:
+    record_id = _require(record, "id", where, AnnotationError)
+    if not isinstance(record_id, str):
+        raise AnnotationError(f"{where}: field 'id' must be a string, got {type(record_id).__name__}")
+    return record_id
+
+
 def load_manifest(path) -> list[TranscriptPair]:
     """Read transcript pairs in file order; ids must be unique and references non-empty."""
     pairs = []
@@ -143,6 +150,8 @@ def load_manifest(path) -> list[TranscriptPair]:
 
 def _parse_entity(raw: dict, reference: str, record_id: str, where: str,
                   category_map: dict[str, EntityCategory]) -> EntityAnnotation:
+    if not isinstance(raw, dict):
+        raise AnnotationError(f"{where}: each entity must be an object, got {type(raw).__name__}")
     text = _require(raw, "text", where, AnnotationError)
     label = _require(raw, "category", where, AnnotationError)
     begin = _require(raw, "begin", where, AnnotationError)
@@ -196,7 +205,7 @@ def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False,
     out: dict[str, AnnotationSet] = {}
     for lineno, record in _iter_jsonl(path, "annotations", AnnotationError):
         where = f"{path}:{lineno}"
-        record_id = _require(record, "id", where, AnnotationError)
+        record_id = _annotation_id(record, where)
         raw_entities = _require(record, "entities", where, AnnotationError)
         if record_id not in references:
             if strict:
@@ -225,7 +234,7 @@ class FileNerSource:
         self._records: dict[str, tuple[int, list]] = {}
         for lineno, record in _iter_jsonl(path, "annotations", AnnotationError):
             where = f"{path}:{lineno}"
-            record_id = _require(record, "id", where, AnnotationError)
+            record_id = _annotation_id(record, where)
             if record_id in self._records:
                 raise AnnotationError(f"{where}: duplicate annotation for id {record_id!r}")
             self._records[record_id] = (lineno, _require(record, "entities", where, AnnotationError))

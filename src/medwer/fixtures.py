@@ -16,13 +16,11 @@ from pathlib import Path
 
 from . import align as _align
 from . import textnorm as _textnorm
-from ._oracles import dp_distance, naive_similarity
-from .align import (EntityAnnotation, EntityCategory, ground_truth_sequence,
-                    med_text_align, recovered_sequence)
+from ._oracles import dp_distance, naive_similarity, reference_edit_counts, reference_normalize
+from .align import EntityAnnotation, EntityCategory, med_text_align, recovered_sequence
 from .corpus import AnnotationSet, TranscriptPair, load_annotations, load_manifest
 from .fuzzy import similarity_ratio
 from .metrics import medical_cer, medical_wer, wer
-from .textnorm import normalize
 
 DATA_VERSION = "v1"
 
@@ -238,23 +236,23 @@ def run_selfcheck(write=print) -> bool:
                 if ae.score != 0.0 or e["score"] != 0.0:
                     ok, detail = False, f"unmatched entity {e['entity']!r} must score 0"
                 continue
-            oracle = naive_similarity(normalize(ae.entity.text), e["candidate"])
+            oracle = naive_similarity(reference_normalize(ae.entity.text), e["candidate"])
             if abs(ae.score - e["score"]) > _TOL or abs(oracle - e["score"]) > _TOL:
                 ok, detail = False, (f"entity {e['entity']!r}: frozen={e['score']} "
                                      f"pipeline={ae.score} oracle={oracle}")
         report(f"oracle-scores[{pair.id}]", ok, detail)
 
-        gt = ground_truth_sequence(aligned)
+        gt = " ".join(t for t in (reference_normalize(ae.entity.text) for ae in aligned) if t)
         rec = recovered_sequence(aligned)
         observed = {
             "wer": wer(pair.reference, pair.hypothesis),
             "mwer": medical_wer(aligned),
             "mcer": medical_cer(aligned),
         }
-        oracle_errors = {
-            "wer": dp_distance(normalize(pair.reference).split(), normalize(pair.hypothesis).split()),
-            "mwer": dp_distance(gt.split(), rec.split()),
-            "mcer": dp_distance(gt, rec),
+        oracle_inputs = {
+            "wer": (reference_normalize(pair.reference).split(), reference_normalize(pair.hypothesis).split()),
+            "mwer": (gt.split(), rec.split()),
+            "mcer": (gt, rec),
         }
         ok, detail = True, ""
         for metric, counts in observed.items():
@@ -263,8 +261,14 @@ def run_selfcheck(write=print) -> bool:
                 ok, detail = False, (f"{metric}: pipeline {counts.errors}/{counts.ref_len}, "
                                      f"frozen {frozen['errors']}/{frozen['ref_len']}")
                 break
-            if counts.errors != oracle_errors[metric]:
-                ok, detail = False, f"{metric}: pipeline errors {counts.errors} != oracle {oracle_errors[metric]}"
+            oracle_errors = dp_distance(*oracle_inputs[metric])
+            if counts.errors != oracle_errors:
+                ok, detail = False, f"{metric}: pipeline errors {counts.errors} != oracle {oracle_errors}"
+                break
+            split = (counts.substitutions, counts.insertions, counts.deletions, counts.hits)
+            oracle_split = reference_edit_counts(*oracle_inputs[metric])
+            if split != oracle_split:
+                ok, detail = False, f"{metric}: pipeline S/I/D/hits {split} != oracle {oracle_split}"
                 break
         report(f"oracle-metrics[{pair.id}]", ok, detail)
 

@@ -97,6 +97,18 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> EditCounts:
     The total cost is alignment-independent; the split is fixed by walking
     the backtrace from the end and preferring match, then substitution, then
     deletion, then insertion among cost-equal steps.
+
+    The table D[i][j] (i over ref, j over hyp) is computed a column at a time
+    with the bit-vector recurrence of Myers (1999) in Hyyro's (2001) form for
+    global distance. Bit i-1 of VP_j is set when D[i][j] - D[i-1][j] == +1,
+    and of VN_j when it is -1. Each column follows from the previous one in a
+    constant number of operations on n-bit ints, using the mask of the
+    positions of hyp[j-1] in ref; the horizontal delta into row 0 is always
+    +1 because D[0][j] == j. The backtrace then reads any cell exactly as
+    D[i][j] = j + popcount(VP_j & (2^i - 1)) - popcount(VN_j & (2^i - 1)),
+    so it makes the same choices, and yields the same split, as a walk over
+    the full table. Elements must be hashable. Memory is the m+1 column pairs,
+    about 2*m*n/8 bytes, instead of (n+1)*(m+1) ints.
     """
     ref_len = len(ref)
     n, m = len(ref), len(hyp)
@@ -110,36 +122,44 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> EditCounts:
     if n == 0 and m == 0:
         return EditCounts(hits=hits, ref_len=ref_len)
 
-    rows = [list(range(m + 1))]
-    for i in range(1, n + 1):
-        prev = rows[i - 1]
-        row = [i] * (m + 1)
-        ri = ref[i - 1]
-        for j in range(1, m + 1):
-            if ri == hyp[j - 1]:
-                row[j] = prev[j - 1]
-            else:
-                best = prev[j - 1]
-                if prev[j] < best:
-                    best = prev[j]
-                if row[j - 1] < best:
-                    best = row[j - 1]
-                row[j] = best + 1
-        rows.append(row)
+    mask = (1 << n) - 1
+    peq: dict = {}
+    for i in range(n):
+        peq[ref[i]] = peq.get(ref[i], 0) | (1 << i)
+    vp, vn = mask, 0
+    vps, vns = [vp], [vn]
+    for j in range(m):
+        eq = peq.get(hyp[j], 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | (mask & ~(xh | vp))
+        hn = vp & xh
+        # a bit shifted past row n drops out of vn = hp & xv, but not out of
+        # vp = hn | ..., so only hn is cut back to n bits
+        hp = (hp << 1) | 1
+        hn = (hn << 1) & mask
+        vp = hn | (mask & ~(xv | hp))
+        vn = hp & xv
+        vps.append(vp)
+        vns.append(vn)
+
+    def cell(i: int, j: int) -> int:
+        low = (1 << i) - 1
+        return j + (vps[j] & low).bit_count() - (vns[j] & low).bit_count()
 
     subs = ins = dels = 0
     i, j = n, m
     while i > 0 or j > 0:
-        cur = rows[i][j]
-        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and rows[i - 1][j - 1] == cur:
+        cur = cell(i, j)
+        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and cell(i - 1, j - 1) == cur:
             hits += 1
             i -= 1
             j -= 1
-        elif i > 0 and j > 0 and rows[i - 1][j - 1] + 1 == cur:
+        elif i > 0 and j > 0 and cell(i - 1, j - 1) + 1 == cur:
             subs += 1
             i -= 1
             j -= 1
-        elif i > 0 and rows[i - 1][j] + 1 == cur:
+        elif i > 0 and cell(i - 1, j) + 1 == cur:
             dels += 1
             i -= 1
         else:
@@ -159,24 +179,24 @@ def wer(reference: str | TokenSequence, hypothesis: str | TokenSequence,
     return edit_distance(ref.normalized_words(), hyp.normalized_words())
 
 
-def medical_wer(aligned: list[AlignedEntity], mode: str = "standard") -> EditCounts:
+def medical_wer(aligned: list[AlignedEntity]) -> EditCounts:
     """Word-level error counts between the concatenated ground-truth entities
     and the concatenated recovered entities of one sample.
 
     Unmatched entities surface as deletions. Zero entities give a zero-denominator
     record that aggregation skips.
     """
-    return edit_distance(ground_truth_sequence(aligned, mode).split(),
+    return edit_distance(ground_truth_sequence(aligned).split(),
                          recovered_sequence(aligned).split())
 
 
-def medical_cer(aligned: list[AlignedEntity], mode: str = "standard") -> EditCounts:
+def medical_cer(aligned: list[AlignedEntity]) -> EditCounts:
     """Character-level analogue of medical_wer, separator spaces included.
 
     Measures how badly matched entities are misspelled rather than merely
     whether they differ.
     """
-    return edit_distance(ground_truth_sequence(aligned, mode), recovered_sequence(aligned))
+    return edit_distance(ground_truth_sequence(aligned), recovered_sequence(aligned))
 
 
 def entity_recall(aligned: list[AlignedEntity]) -> dict[EntityCategory, RecallCount]:

@@ -76,8 +76,8 @@ def _eval_task(task) -> tuple[list[AlignedEntity], SampleMetrics | None]:
     return aligned, SampleMetrics(
         sample_id=pair.id,
         wer=wer(pair.reference, hypothesis, mode),
-        mwer=medical_wer(aligned, mode),
-        mcer=medical_cer(aligned, mode),
+        mwer=medical_wer(aligned),
+        mcer=medical_cer(aligned),
         recall=entity_recall(aligned),
     )
 

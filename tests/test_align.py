@@ -119,6 +119,15 @@ def test_recovered_sequence_table_row_one():
     assert ground_truth_sequence(aligned) == "quinidine disopyramide digoxin"
 
 
+@pytest.mark.parametrize("mode,want", [("standard", "digoxin mr o'brien"),
+                                       ("raw", "Digoxin, Mr. O'Brien")])
+def test_ground_truth_sequence_uses_the_alignment_mode(mode, want):
+    entities = [_entity("Digoxin,", 0), _entity("Mr. O'Brien", 9, EntityCategory.PHI)]
+    aligned = med_text_align(entities, "digoxin mr obrien", mode=mode)
+    assert [ae.target for ae in aligned] == [normalize(e.text, mode) for e in entities]
+    assert ground_truth_sequence(aligned) == want
+
+
 def test_recovered_sequence_skips_unmatched_without_doubling_spaces():
     pair, entities = _golden("t1_aws")
     aligned = med_text_align(entities, pair.hypothesis)
@@ -203,6 +212,9 @@ def _alignment_case(draw):
 @given(_alignment_case())
 # "b" and "ab b" both score 2/3 against "bb"; the unigram wins although it starts later
 @example(([_entity("bb", 0)], "ab b", 0.5, 2, "standard"))
+# a recurring target reuses its first result
+@example(([_entity("sni", 0), _entity("dikod", 100), _entity("sni", 200)], "sin dikod a", 0.5, 3,
+          "standard"))
 def test_matches_every_candidate_oracle(case):
     entities, hypothesis, threshold, max_n, mode = case
     aligned = med_text_align(entities, hypothesis, threshold, max_n, mode)
@@ -215,3 +227,20 @@ def test_matches_every_candidate_oracle(case):
         got = ae.candidate
         assert (got.start_token, got.length_tokens, got.surface, got.normalized, ae.score) == want
         assert ae.exact == (want.normalized == reference_normalize(ae.entity.text, mode))
+
+
+# Candidates and targets past 255 code points leave the one-byte count lanes;
+# a character that occurs more than 255 times must not be capped at 255.
+@pytest.mark.parametrize("entity_text, hypothesis", [
+    ("a" * 300, "a" * 299 + "b " + "a" * 40 + " b"),
+    ("a" * 280 + "b", "a" * 300 + " " + "ab" * 140 + " b" * 3),
+    ("ab" * 10, "a" * 256 + " " + "ab" * 9 + " b" * 20),
+    ("xy" * 130, "y" * 200 + "x" * 150 + " " + "yx" * 120 + " xy"),
+])
+def test_long_strings_match_the_oracle(entity_text, hypothesis):
+    for threshold in (0.5, 0.9):
+        [ae] = med_text_align([_entity(entity_text, 0)], hypothesis, threshold)
+        want = oracle_align(entity_text, hypothesis, threshold)
+        got = None if ae.candidate is None else (ae.candidate.start_token, ae.candidate.length_tokens,
+                                                 ae.candidate.surface, ae.candidate.normalized, ae.score)
+        assert got == want

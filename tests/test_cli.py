@@ -3,8 +3,9 @@ import json
 import pytest
 
 from helpers import dump_corpus, write_jsonl
-from medwer import cli, fixtures
+from medwer import cli, fixtures, metrics
 from medwer.fixtures import load_golden
+from medwer.metrics import EditCounts
 
 
 @pytest.fixture()
@@ -127,6 +128,16 @@ def test_unknown_category_exits_two(tmp_path, capsys):
     assert "DOSAGE_FORM" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record", [{"id": ["a"], "entities": []},
+                                    {"id": "s1", "entities": ["context"]}])
+def test_hostile_annotation_record_exits_two(tmp_path, capsys, record):
+    manifest = write_jsonl(tmp_path / "m.jsonl", [{"id": "s1", "reference": "the cough", "hypothesis": "x"}])
+    annotations = write_jsonl(tmp_path / "a.jsonl", [record])
+    code = cli.main(["evaluate", "--manifest", str(manifest), "--annotations", str(annotations)])
+    assert code == cli.EXIT_INGESTION
+    assert "a.jsonl:1" in capsys.readouterr().err
+
+
 def test_strict_mode_requires_annotations_for_every_sample(tmp_path, capsys):
     manifest = write_jsonl(tmp_path / "m.jsonl", [
         {"id": "s1", "reference": "the cough", "hypothesis": "x"},
@@ -168,6 +179,20 @@ def test_selfcheck_flags_tampered_threshold_default(monkeypatch, capsys):
     assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
     out = capsys.readouterr().out
     assert "FAIL config-defaults" in out
+
+
+def test_selfcheck_flags_a_wrong_edit_split(monkeypatch, capsys):
+    # same error totals, so only the comparison of the S/I/D split can see it
+    exact = metrics.edit_distance
+
+    def swapped(ref, hyp):
+        c = exact(ref, hyp)
+        return EditCounts(c.deletions, c.insertions, c.substitutions, c.hits, c.ref_len)
+
+    monkeypatch.setattr(metrics, "edit_distance", swapped)
+    assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
+    out = capsys.readouterr().out
+    assert "FAIL oracle-metrics[t2r1]: wer: pipeline S/I/D/hits" in out
 
 
 def test_selfcheck_reports_missing_fixture_file(monkeypatch, capsys):

@@ -150,6 +150,26 @@ def test_load_annotations_rejects_bad_score(tmp_path):
         load_annotations(path, manifest)
 
 
+@pytest.mark.parametrize("record_id", [["a"], {"id": "s1"}, 7, None])
+def test_load_annotations_rejects_non_string_id(tmp_path, record_id):
+    manifest = _manifest(tmp_path)
+    path = write_jsonl(tmp_path / "a.jsonl", [{"id": record_id, "entities": []}])
+    with pytest.raises(AnnotationError, match=r"a\.jsonl:1.*'id' must be a string"):
+        load_annotations(path, manifest)
+    with pytest.raises(AnnotationError, match=r"a\.jsonl:1.*'id' must be a string"):
+        FileNerSource(path)
+
+
+@pytest.mark.parametrize("entity", ["context", ["text"], 4, None])
+def test_load_annotations_rejects_entity_that_is_not_an_object(tmp_path, entity):
+    manifest = _manifest(tmp_path)
+    path = write_jsonl(tmp_path / "a.jsonl", [{"id": "s1", "entities": [entity]}])
+    with pytest.raises(AnnotationError, match=r"a\.jsonl:1.*entity must be an object"):
+        load_annotations(path, manifest)
+    with pytest.raises(AnnotationError, match="entity must be an object"):
+        fetch_annotations(FileNerSource(path), manifest, strict=True)
+
+
 def test_file_ner_source_matches_loader(tmp_path):
     pairs, annotations = load_golden()
     manifest_path, annotations_path = dump_corpus(tmp_path, pairs, annotations)

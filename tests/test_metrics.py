@@ -1,13 +1,15 @@
 import math
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import annotated_sample
+from medwer._oracles import reference_edit_counts
 from medwer.align import EntityCategory, med_text_align
-from medwer.fixtures import load_golden
+from medwer.fixtures import load_golden, synthetic_corpus
 from medwer.metrics import (CorpusMetrics, EditCounts, RecallCount, SampleMetrics,
                             aggregate, edit_distance, entity_recall, medical_cer,
                             medical_wer, wer)
@@ -60,6 +62,78 @@ def test_edit_distance_empty_reference():
 def test_backtrace_split_is_deterministic():
     # both cost-2 decompositions exist; the fixed preference picks S=2
     assert edit_distance(["a", "b"], ["b", "a"]) == EditCounts(substitutions=2, ref_len=2)
+
+
+# Two- and three-letter alphabets force cost ties between S and D+I; the
+# others are non-ASCII, astral code points included.
+ALPHABETS = ("ab", "abc", "éü", "ßя字", "😀😁")
+
+
+@st.composite
+def edit_pairs(draw, max_len):
+    """(ref, hyp) as word lists or plain strings around a shared prefix and
+    suffix, each side up to max_len elements between them."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    words = draw(st.booleans())
+    element = st.text(alphabet, min_size=1, max_size=2) if words else st.sampled_from(alphabet)
+
+    def part(limit):
+        size = draw(st.integers(0, limit))
+        return draw(st.lists(element, min_size=size, max_size=size))
+
+    prefix, suffix = part(max_len // 8), part(max_len // 8)
+    ref, hyp = prefix + part(max_len) + suffix, prefix + part(max_len) + suffix
+    return (ref, hyp) if words else ("".join(ref), "".join(hyp))
+
+
+def _assert_counts_match_reference(ref, hyp):
+    counts = edit_distance(ref, hyp)
+    split = (counts.substitutions, counts.insertions, counts.deletions, counts.hits)
+    assert split == reference_edit_counts(ref, hyp)
+    assert counts.ref_len == len(ref)
+
+
+@settings(max_examples=500, deadline=None)
+@given(edit_pairs(max_len=12))
+def test_edit_distance_matches_full_table_reference(pair):
+    _assert_counts_match_reference(*pair)
+
+
+@settings(max_examples=120, deadline=None)
+@given(edit_pairs(max_len=300))
+def test_edit_distance_matches_full_table_reference_across_word_boundaries(pair):
+    # up to ~370 elements a side: bit vectors of one, two and several 64-bit words
+    _assert_counts_match_reference(*pair)
+
+
+@pytest.mark.parametrize("ref,hyp", [("", ""), ("", "abc"), ("abc", ""), ("a" * 64, "a" * 65),
+                                     ("ab" * 64, "ba" * 64), ("a" * 129, "b" * 128)])
+def test_edit_distance_matches_full_table_reference_at_edges(ref, hyp):
+    _assert_counts_match_reference(ref, hyp)
+    _assert_counts_match_reference(list(ref), list(hyp))
+
+
+def test_edit_distance_matches_full_table_reference_on_a_long_consultation():
+    pairs, _ = synthetic_corpus(1, seed=2, tokens_per_sample=2000, entities_per_sample=100)
+    ref, hyp = tokenize(pairs[0].reference), tokenize(pairs[0].hypothesis)
+    assert len(ref) == 2000 and len(hyp) >= 2000
+    _assert_counts_match_reference(ref.normalized_words(), hyp.normalized_words())
+
+
+def test_wer_peak_memory_is_bounded_for_ten_thousand_words():
+    # the full (n+1) x (m+1) table of Python ints would take several GB here
+    pairs, _ = synthetic_corpus(1, seed=3, tokens_per_sample=10_000, entities_per_sample=300)
+    reference, hypothesis = pairs[0].reference, pairs[0].hypothesis
+    tracemalloc.start()
+    try:
+        counts = wer(reference, hypothesis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert counts.ref_len == 10_000
+    assert counts.hits + counts.substitutions + counts.deletions == counts.ref_len
+    assert wer(hypothesis, reference).errors == counts.errors
 
 
 def test_wer_identical_transcripts():
