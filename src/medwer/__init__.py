@@ -17,7 +17,7 @@ from .metrics import (CorpusMetrics, EditCounts, RecallCount, SampleMetrics,
                       aggregate, edit_distance, entity_recall, medical_cer,
                       medical_wer, wer)
 from .runner import RunConfig, align_corpus, evaluate_corpus, evaluate_sample
-from .textnorm import CandidateSpan, Token, TokenSequence, ngrams, normalize, tokenize
+from .textnorm import CandidateSpan, TokenSequence, ngrams, normalize, tokenize
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "CorpusMetrics", "EditCounts", "EntityAnnotation", "EntityCategory",
     "FileNerSource", "IngestionError", "ManifestError", "MatchBlock",
     "NerSource", "RecallCount", "Report", "ReportError", "RunConfig", "SampleMetrics",
-    "Token", "TokenSequence", "TranscriptPair", "aggregate", "align_corpus",
+    "TokenSequence", "TranscriptPair", "aggregate", "align_corpus",
     "edit_distance", "entity_recall", "evaluate_corpus", "evaluate_sample",
     "fetch_annotations", "ground_truth_sequence", "load_annotations",
     "load_manifest", "load_report", "longest_match", "matching_blocks",

@@ -102,8 +102,7 @@ def med_text_align(entities: list[EntityAnnotation], hypothesis: str | TokenSequ
             raise ValueError("entities must be sorted by begin offset")
 
     seq = hypothesis if isinstance(hypothesis, TokenSequence) else tokenize(hypothesis, mode)
-    tokens = seq.tokens
-    first = _distinct_ngrams([t.normalized for t in tokens], max_n)
+    first = _distinct_ngrams(seq.words, max_n)
     candidates: _Candidates | None = None  # built for the first entity not matched exactly
     found: dict[str, tuple[str | None, float]] = {}
 
@@ -122,7 +121,7 @@ def med_text_align(entities: list[EntityAnnotation], hypothesis: str | TokenSequ
             aligned.append(AlignedEntity(entity, None, 0.0, False, target))
             continue
         length, start = first[best]
-        surface = " ".join(t.surface for t in tokens[start:start + length])
+        surface = " ".join(seq.surfaces[start:start + length])
         aligned.append(AlignedEntity(entity, CandidateSpan(start, length, surface, best),
                                      score, best == target, target))
     return aligned

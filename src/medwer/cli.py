@@ -10,7 +10,6 @@ import logging
 import sys
 
 from .corpus import IngestionError, load_annotations, load_manifest, write_report
-from .fixtures import run_selfcheck
 from .runner import GROUP_KEYS, RunConfig, align_corpus, evaluate_corpus
 from .textnorm import NORMALIZATION_MODES
 
@@ -101,13 +100,9 @@ def _load_corpus(cfg: RunConfig):
 def cmd_evaluate(cfg: RunConfig) -> int:
     pairs, annotations = _load_corpus(cfg)
     corpus, samples, groups = evaluate_corpus(pairs, annotations, cfg)
-    per_sample = samples if cfg.per_sample else None
-    if cfg.out is None:
-        write_report(corpus, per_sample, cfg.fmt, sys.stdout,
-                     config=cfg.config_dict(), groups=groups or None)
-    else:
-        write_report(corpus, per_sample, cfg.fmt, cfg.out,
-                     config=cfg.config_dict(), groups=groups or None)
+    write_report(corpus, samples if cfg.per_sample else None, cfg.fmt,
+                 sys.stdout if cfg.out is None else cfg.out,
+                 config=cfg.config_dict(), groups=groups or None)
     return EXIT_OK
 
 
@@ -124,6 +119,8 @@ def cmd_align(cfg: RunConfig) -> int:
 
 
 def cmd_selfcheck() -> int:
+    # the fixtures and oracles load only for selfcheck, not on every run
+    from .fixtures import run_selfcheck
     return EXIT_OK if run_selfcheck() else EXIT_SELFCHECK
 
 

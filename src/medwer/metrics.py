@@ -176,7 +176,7 @@ def wer(reference: str | TokenSequence, hypothesis: str | TokenSequence,
     """
     ref = reference if isinstance(reference, TokenSequence) else tokenize(reference, mode)
     hyp = hypothesis if isinstance(hypothesis, TokenSequence) else tokenize(hypothesis, mode)
-    return edit_distance(ref.normalized_words(), hyp.normalized_words())
+    return edit_distance(ref.words, hyp.words)
 
 
 def medical_wer(aligned: list[AlignedEntity]) -> EditCounts:

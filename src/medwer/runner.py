@@ -6,9 +6,8 @@ the report independent of the worker count.
 """
 
 import logging
-import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -55,6 +54,10 @@ class RunConfig:
         unknown = set(self.group_by) - set(GROUP_KEYS)
         if unknown:
             raise ValueError(f"unknown group-by key(s) {sorted(unknown)}; expected a subset of {GROUP_KEYS}")
+        if self.fmt == "csv" and self.group_by:
+            raise ValueError("csv reports have no group rows; use json or table with group-by")
+        if self.fmt == "table" and self.per_sample:
+            raise ValueError("table reports have no per-sample rows; use json or csv with per-sample")
 
     def config_dict(self) -> dict:
         return {"threshold": self.threshold, "max_ngram": self.max_ngram,
@@ -100,6 +103,8 @@ def _run_tasks(pairs: list[TranscriptPair], annotations: dict[str, AnnotationSet
               cfg.threshold, cfg.max_ngram, cfg.normalization, scored) for pair in pairs]
     workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        import multiprocessing  # only a pool run pays for the import
+
         chunksize = max(1, len(tasks) // (workers * 4))
         with multiprocessing.Pool(workers) as pool:
             yield from pool.imap(_eval_task, tasks, chunksize=chunksize)

@@ -6,11 +6,10 @@ apostrophe, and period only when flanked by alphanumerics on both sides
 (so "non-productive" stays one word while a trailing comma never blocks a
 match). "raw" leaves token surfaces untouched and only splits on whitespace.
 
-Token spans always index code points of the original text, before any
-normalization.
+A token is a chunk of str.split() whose normalized form is not empty; a
+sequence keeps the chunks and their normalized forms as two parallel lists.
 """
 
-import re
 import unicodedata
 from dataclasses import dataclass
 
@@ -18,30 +17,19 @@ NORMALIZATION_MODES = ("standard", "raw")
 
 DEFAULT_MAX_NGRAM = 3
 
-_TOKEN_RE = re.compile(r"\S+")
 _KEEP_FLANKED = frozenset("-'.")
 
 
 @dataclass(frozen=True)
-class Token:
-    """One whitespace-delimited token with its half-open [begin, end) span."""
-
-    surface: str
-    normalized: str
-    begin: int
-    end: int
-
-
-@dataclass(frozen=True)
 class TokenSequence:
-    source: str
-    tokens: tuple[Token, ...]
+    """The tokens of one text: surfaces[i] is a whitespace-delimited chunk
+    and words[i] its normalized form (the chunk itself in raw mode)."""
+
+    surfaces: list[str]
+    words: list[str]
 
     def __len__(self) -> int:
-        return len(self.tokens)
-
-    def normalized_words(self) -> list[str]:
-        return [t.normalized for t in self.tokens]
+        return len(self.words)
 
 
 @dataclass(frozen=True)
@@ -82,32 +70,36 @@ def _normalize_chunk(chunk: str) -> str:
     return "".join(out)
 
 
+def _split(text: str, mode: str) -> tuple[list[str], list[str]]:
+    """The chunks of text.split() whose normalized form is not empty, and
+    those forms."""
+    _check_mode(mode)
+    chunks = text.split()
+    if mode == "raw":
+        return chunks, chunks
+    words = list(map(_normalize_chunk, chunks))
+    if "" in words:
+        chunks = [chunk for chunk, word in zip(chunks, words) if word]
+        words = [word for word in words if word]
+    return chunks, words
+
+
 def normalize(text: str, mode: str = "standard") -> str:
-    """Normalize free text. Total on any input; empty in, empty out.
+    """Normalize free text: the words of tokenize(text, mode) joined by
+    single spaces. Total on any input; empty in, empty out.
 
     Whitespace runs collapse to single spaces in both modes; chunks that
     normalize to nothing (pure punctuation) disappear entirely.
     """
-    _check_mode(mode)
-    if mode == "raw":
-        return " ".join(text.split())
-    return " ".join(c for c in (_normalize_chunk(ch) for ch in text.split()) if c)
+    return " ".join(_split(text, mode)[1])
 
 
 def tokenize(text: str, mode: str = "standard") -> TokenSequence:
-    """Split on whitespace; spans point into the original text.
+    """Split on whitespace and normalize each chunk.
 
-    Tokens whose normalized form is empty are omitted.
+    Chunks whose normalized form is empty are omitted.
     """
-    _check_mode(mode)
-    raw = mode == "raw"
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        surface = m.group()
-        norm = surface if raw else _normalize_chunk(surface)
-        if norm:
-            tokens.append(Token(surface, norm, m.start(), m.end()))
-    return TokenSequence(text, tuple(tokens))
+    return TokenSequence(*_split(text, mode))
 
 
 def ngrams(seq: TokenSequence, max_n: int = DEFAULT_MAX_NGRAM) -> list[CandidateSpan]:
@@ -118,16 +110,7 @@ def ngrams(seq: TokenSequence, max_n: int = DEFAULT_MAX_NGRAM) -> list[Candidate
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    toks = seq.tokens
-    count = len(toks)
-    spans = []
-    for n in range(1, min(max_n, count) + 1):
-        for start in range(count - n + 1):
-            window = toks[start:start + n]
-            spans.append(CandidateSpan(
-                start_token=start,
-                length_tokens=n,
-                surface=" ".join(t.surface for t in window),
-                normalized=" ".join(t.normalized for t in window),
-            ))
-    return spans
+    surfaces, words = seq.surfaces, seq.words
+    count = len(words)
+    return [CandidateSpan(start, n, " ".join(surfaces[start:start + n]), " ".join(words[start:start + n]))
+            for n in range(1, min(max_n, count) + 1) for start in range(count - n + 1)]

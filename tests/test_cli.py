@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import medwer
 
 from helpers import dump_corpus, write_jsonl
 from medwer import cli, fixtures, metrics
@@ -163,8 +169,33 @@ def test_unknown_flag_value_is_a_usage_error(capsys):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags, section", [
+    (["--format", "csv", "--group-by", "model"], "group"),
+    (["--format", "table", "--per-sample"], "per-sample"),
+])
+def test_report_section_the_format_cannot_hold_is_a_usage_error(golden_files, tmp_path, capsys,
+                                                                 flags, section):
+    manifest, annotations = golden_files
+    out = tmp_path / "report"
+    code = cli.main(["evaluate", "--manifest", str(manifest), "--annotations", str(annotations),
+                     "--out", str(out), *flags])
+    assert code == cli.EXIT_USAGE
+    assert section in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_flag_is_a_usage_error(capsys):
     assert cli.main(["evaluate", "--manifest", "m"]) == cli.EXIT_USAGE
+
+
+def test_importing_the_cli_loads_neither_the_selfcheck_nor_the_pool():
+    # evaluate and align pay for no module only selfcheck or --workers > 1 use
+    heavy = ("medwer.fixtures", "medwer._oracles", "multiprocessing")
+    code = f"import sys, medwer.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(medwer.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_selfcheck_passes_on_pristine_build(capsys):

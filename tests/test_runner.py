@@ -17,6 +17,9 @@ from medwer.runner import RunConfig, align_corpus, evaluate_corpus, evaluate_sam
     {"fmt": "yaml"},
     {"workers": 0},
     {"group_by": ("speaker",)},
+    # csv reports have no group rows and table reports no per-sample rows
+    {"fmt": "csv", "group_by": ("model",)},
+    {"fmt": "table", "per_sample": True},
 ])
 def test_run_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

@@ -2,10 +2,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from medwer._oracles import reference_normalize_chunk
+from medwer._oracles import reference_normalize_chunk, reference_tokens
 from medwer.textnorm import _normalize_chunk, ngrams, normalize, tokenize
 
 messy = st.text(alphabet="aAbB xyZ-'.,;!?\t\n", max_size=40)
+# Whitespace that str.split() splits on besides space, tab and newline (the
+# \x1c-\x1f separators, NEL, LINE SEPARATOR, IDEOGRAPHIC SPACE), and chunks
+# that are punctuation only, between arbitrary chunks.
+_SEPARATORS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u3000", " "]
+_PUNCTUATION_ONLY = [",", "...", "--", "'", "(!)", "-.-"]
+_chunk = st.one_of(st.text(max_size=6), st.sampled_from(_PUNCTUATION_ONLY))
+unicode_text = st.one_of(
+    st.text(),
+    st.lists(st.tuples(_chunk, st.sampled_from(_SEPARATORS)), max_size=10)
+    .map(lambda parts: "".join(chunk + sep for chunk, sep in parts)),
+)
 
 
 def test_boundary_punctuation_stripped():
@@ -59,30 +70,49 @@ def test_normalize_idempotent(text):
 
 @given(messy)
 def test_tokenize_spans_cover_surfaces(text):
+    # the surfaces are whitespace-free chunks of the text, in order, and
+    # what lies between them normalizes to nothing
     seq = tokenize(text)
-    previous_end = -1
-    for token in seq.tokens:
-        assert token.begin < token.end
-        assert text[token.begin:token.end] == token.surface
-        assert token.begin > previous_end
-        previous_end = token.end
-        assert token.normalized
+    assert len(seq.surfaces) == len(seq.words) == len(seq)
+    position = 0
+    for surface, word in zip(seq.surfaces, seq.words):
+        assert surface and not any(ch.isspace() for ch in surface)
+        begin = text.index(surface, position)
+        assert not text[begin - 1:begin].strip() and not normalize(text[position:begin])
+        position = begin + len(surface)
+        assert not text[position:position + 1].strip()
+        assert word
+    assert not normalize(text[position:])
 
 
 @given(messy)
 def test_tokenize_after_normalize_is_stable(text):
-    assert tokenize(normalize(text)).normalized_words() == tokenize(text).normalized_words()
+    assert tokenize(normalize(text)).words == tokenize(text).words
+
+
+@given(unicode_text, st.sampled_from(["standard", "raw"]))
+def test_tokenize_matches_reference(text, mode):
+    seq = tokenize(text, mode)
+    pairs = reference_tokens(text, mode)
+    assert seq.surfaces == [surface for surface, _ in pairs]
+    assert seq.words == [word for _, word in pairs]
+
+
+@given(unicode_text, st.sampled_from(["standard", "raw"]))
+def test_normalize_joins_the_tokenized_words(text, mode):
+    assert normalize(text, mode) == " ".join(tokenize(text, mode).words)
 
 
 def test_tokenize_examples():
-    assert tokenize("lungs clear but dim").normalized_words() == ["lungs", "clear", "but", "dim"]
+    assert tokenize("lungs clear but dim").words == ["lungs", "clear", "but", "dim"]
     assert len(tokenize("a")) == 1
     assert len(tokenize("dikod sin in pesion")) == 4
-    # punctuation-only tokens are dropped, spans still index the original
+    # punctuation-only tokens are dropped from both lists
     seq = tokenize("lungs , clear .")
-    assert seq.normalized_words() == ["lungs", "clear"]
-    assert [t.surface for t in seq.tokens] == ["lungs", "clear"]
-    assert seq.tokens[1].begin == 8
+    assert seq.words == ["lungs", "clear"]
+    assert seq.surfaces == ["lungs", "clear"]
+    seq = tokenize("Lungs,\u3000CLEAR\x85.", "raw")
+    assert seq.words == seq.surfaces == ["Lungs,", "CLEAR", "."]
 
 
 def test_ngrams_small_exhaustive():
@@ -116,9 +146,9 @@ def test_ngram_count_formula(text, max_n):
 def test_ngram_reconstruction(text, max_n):
     seq = tokenize(text)
     for span in ngrams(seq, max_n):
-        window = seq.tokens[span.start_token:span.start_token + span.length_tokens]
-        assert span.normalized == " ".join(t.normalized for t in window)
-        assert span.surface == " ".join(t.surface for t in window)
+        window = slice(span.start_token, span.start_token + span.length_tokens)
+        assert span.normalized == " ".join(seq.words[window])
+        assert span.surface == " ".join(seq.surfaces[window])
 
 
 @given(st.text())
