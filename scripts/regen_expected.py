@@ -16,14 +16,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from medwer._oracles import dp_distance, oracle_align, reference_normalize
-from medwer.corpus import load_annotations, load_manifest
-from medwer.fixtures import fixture_path
+from medwer.fixtures import fixture_path, load_golden
 
 
 def build_expected() -> dict:
     """The expected.json document, recomputed from the golden fixtures."""
-    pairs = load_manifest(fixture_path("manifest.jsonl"))
-    annotations = load_annotations(fixture_path("annotations.jsonl"), pairs)
+    pairs, annotations = load_golden()
 
     samples = {}
     for pair in pairs:

@@ -8,10 +8,9 @@ corpus level.
 
 from .align import (AlignedEntity, EntityAnnotation, EntityCategory,
                     ground_truth_sequence, med_text_align, recovered_sequence)
-from .corpus import (AnnotationSet, AnnotationError, FileNerSource, IngestionError,
-                     ManifestError, NerSource, Report, ReportError, TranscriptPair,
-                     fetch_annotations, load_annotations, load_manifest,
-                     load_report, write_report)
+from .corpus import (AnnotationSet, AnnotationError, IngestionError, ManifestError,
+                     Report, ReportError, TranscriptPair, load_annotations,
+                     load_manifest, load_report, write_report)
 from .fuzzy import MatchBlock, longest_match, matching_blocks, similarity_ratio
 from .metrics import (CorpusMetrics, EditCounts, RecallCount, SampleMetrics,
                       aggregate, edit_distance, entity_recall, medical_cer,
@@ -24,13 +23,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignedEntity", "AnnotationError", "AnnotationSet", "CandidateSpan",
     "CorpusMetrics", "EditCounts", "EntityAnnotation", "EntityCategory",
-    "FileNerSource", "IngestionError", "ManifestError", "MatchBlock",
-    "NerSource", "RecallCount", "Report", "ReportError", "RunConfig", "SampleMetrics",
-    "TokenSequence", "TranscriptPair", "aggregate", "align_corpus",
-    "edit_distance", "entity_recall", "evaluate_corpus", "evaluate_sample",
-    "fetch_annotations", "ground_truth_sequence", "load_annotations",
-    "load_manifest", "load_report", "longest_match", "matching_blocks",
-    "med_text_align", "medical_cer", "medical_wer", "ngrams", "normalize",
-    "recovered_sequence", "similarity_ratio", "tokenize", "wer",
-    "write_report",
+    "IngestionError", "ManifestError", "MatchBlock", "RecallCount", "Report",
+    "ReportError", "RunConfig", "SampleMetrics", "TokenSequence",
+    "TranscriptPair", "aggregate", "align_corpus", "edit_distance",
+    "entity_recall", "evaluate_corpus", "evaluate_sample",
+    "ground_truth_sequence", "load_annotations", "load_manifest",
+    "load_report", "longest_match", "matching_blocks", "med_text_align",
+    "medical_cer", "medical_wer", "ngrams", "normalize", "recovered_sequence",
+    "similarity_ratio", "tokenize", "wer", "write_report",
 ]

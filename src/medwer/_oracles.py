@@ -9,7 +9,6 @@ for the alignment.
 """
 
 import unicodedata
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -57,13 +56,6 @@ def naive_similarity(a, b):
     if total == 0:
         return 1.0
     return 2 * naive_match_total(a, b) / total
-
-
-def naive_similarity_fraction(a, b) -> Fraction:
-    total = len(a) + len(b)
-    if total == 0:
-        return Fraction(1)
-    return Fraction(2 * naive_match_total(a, b), total)
 
 
 def all_alignments_distance(ref, hyp):

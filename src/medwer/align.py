@@ -64,7 +64,6 @@ class EntityAnnotation:
     category: EntityCategory
     begin: int
     end: int
-    score: float | None = None
 
 
 @dataclass(frozen=True)

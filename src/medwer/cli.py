@@ -89,12 +89,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 def _load_corpus(cfg: RunConfig):
     pairs = load_manifest(cfg.manifest)
-    annotations = load_annotations(cfg.annotations, pairs, strict=cfg.strict)
-    if cfg.strict:
-        missing = [p.id for p in pairs if p.id not in annotations]
-        if missing:
-            raise IngestionError(f"missing annotations for id(s): {', '.join(repr(m) for m in missing)}")
-    return pairs, annotations
+    return pairs, load_annotations(cfg.annotations, pairs, strict=cfg.strict)
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:

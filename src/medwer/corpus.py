@@ -4,7 +4,8 @@ Manifests and annotations are line-delimited JSON. A manifest record holds
 `id`, `reference`, `hypothesis` and optional `accent`, `domain`, `model`.
 An annotation record holds `id` and `entities`, each entity with `text`,
 `category`, `begin`, `end` and an optional `score`; offsets are code-point
-based and validated against the paired reference text.
+based and validated against the paired reference text. A `score`, when
+present, must lie in [0, 1]; it is validated, then ignored.
 
 Reports are written as json, csv, or a human-readable table. Output is
 byte-identical for identical inputs: field order is fixed and every rate is
@@ -18,7 +19,6 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
 
 from .align import EntityAnnotation, EntityCategory
 from .metrics import CorpusMetrics, EditCounts, RecallCount, SampleMetrics
@@ -32,8 +32,8 @@ REPORT_FORMATS = ("json", "csv", "table")
 TABLE_RECALL_ORDER = (EntityCategory.MED, EntityCategory.ANA, EntityCategory.COND,
                       EntityCategory.TTP, EntityCategory.PHI)
 
-# External category labels accepted at ingestion. Extend via the
-# category_map argument of the loaders.
+# External category labels accepted at ingestion, mapped to the paper's
+# five categories.
 DEFAULT_CATEGORY_MAP = {
     "MEDICATION": EntityCategory.MED,
     "MEDICAL_CONDITION": EntityCategory.COND,
@@ -78,42 +78,33 @@ class AnnotationSet:
     entities: tuple[EntityAnnotation, ...]
 
 
-class NerSource(Protocol):
-    """Anything that can produce entity annotations for a transcript pair."""
-
-    def annotate(self, pair: TranscriptPair) -> Sequence[EntityAnnotation]:
-        ...
-
-
 def _iter_jsonl(path, kind: str, err: type[IngestionError]):
     try:
         handle = open(path, encoding="utf-8")
     except OSError as e:
         raise err(f"cannot read {kind} {path}: {e.strerror or e}") from e
+    # text mode keeps the universal-newline line splitting; a bad byte
+    # surfaces while a line is read, so the whole loop is guarded
     with handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise err(f"{path}:{lineno}: malformed JSON: {e.msg}") from e
-            if not isinstance(record, dict):
-                raise err(f"{path}:{lineno}: expected an object, got {type(record).__name__}")
-            yield lineno, record
+        try:
+            for lineno, line in enumerate(handle, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise err(f"{path}:{lineno}: malformed JSON: {e.msg}") from e
+                if not isinstance(record, dict):
+                    raise err(f"{path}:{lineno}: expected an object, got {type(record).__name__}")
+                yield lineno, record
+        except UnicodeDecodeError as e:
+            raise err(f"cannot read {kind} {path}: not UTF-8 text ({e.reason})") from e
 
 
 def _require(record: dict, key: str, where: str, err: type[IngestionError]):
     if key not in record:
         raise err(f"{where}: missing required field {key!r}")
     return record[key]
-
-
-def _annotation_id(record: dict, where: str) -> str:
-    record_id = _require(record, "id", where, AnnotationError)
-    if not isinstance(record_id, str):
-        raise AnnotationError(f"{where}: field 'id' must be a string, got {type(record_id).__name__}")
-    return record_id
 
 
 def load_manifest(path) -> list[TranscriptPair]:
@@ -148,8 +139,7 @@ def load_manifest(path) -> list[TranscriptPair]:
     return pairs
 
 
-def _parse_entity(raw: dict, reference: str, record_id: str, where: str,
-                  category_map: dict[str, EntityCategory]) -> EntityAnnotation:
+def _parse_entity(raw: dict, reference: str, record_id: str, where: str) -> EntityAnnotation:
     if not isinstance(raw, dict):
         raise AnnotationError(f"{where}: each entity must be an object, got {type(raw).__name__}")
     text = _require(raw, "text", where, AnnotationError)
@@ -160,10 +150,10 @@ def _parse_entity(raw: dict, reference: str, record_id: str, where: str,
         raise AnnotationError(f"{where}: entity 'text' and 'category' must be strings")
     if not isinstance(begin, int) or not isinstance(end, int) or isinstance(begin, bool) or isinstance(end, bool):
         raise AnnotationError(f"{where}: entity offsets must be integers")
-    category = category_map.get(label)
+    category = DEFAULT_CATEGORY_MAP.get(label)
     if category is None:
         raise AnnotationError(f"{where}: unknown category {label!r} for id {record_id!r} "
-                              f"(known: {', '.join(sorted(category_map))})")
+                              f"(known: {', '.join(sorted(DEFAULT_CATEGORY_MAP))})")
     if not (0 <= begin < end <= len(reference)):
         raise AnnotationError(f"{where}: entity offsets [{begin}, {end}) out of range for id {record_id!r}")
     actual = reference[begin:end]
@@ -176,36 +166,23 @@ def _parse_entity(raw: dict, reference: str, record_id: str, where: str,
     if score is not None:
         if not isinstance(score, (int, float)) or isinstance(score, bool) or not 0 <= score <= 1:
             raise AnnotationError(f"{where}: entity score must be a number in [0, 1]")
-        score = float(score)
-    return EntityAnnotation(text=text, category=category, begin=begin, end=end, score=score)
+    return EntityAnnotation(text=text, category=category, begin=begin, end=end)
 
 
-def _build_annotation_set(record_id: str, raw_entities, reference: str, where: str,
-                          category_map: dict[str, EntityCategory]) -> AnnotationSet:
-    if not isinstance(raw_entities, list):
-        raise AnnotationError(f"{where}: 'entities' must be a list")
-    entities = [_parse_entity(raw, reference, record_id, where, category_map)
-                for raw in raw_entities]
-    entities.sort(key=lambda e: (e.begin, e.end))
-    return AnnotationSet(record_id, tuple(entities))
-
-
-def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False,
-                     category_map: dict[str, EntityCategory] | None = None) -> dict[str, AnnotationSet]:
+def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False) -> dict[str, AnnotationSet]:
     """Read entity annotations and validate them against the manifest.
 
-    Annotations for ids absent from the manifest are skipped with a warning,
-    or rejected under strict mode. Offset or category problems are always
-    errors.
+    Annotations for ids absent from the manifest are skipped with a warning;
+    under strict mode they are rejected, and so is a manifest id with no
+    annotation record. Offset or category problems are always errors.
     """
-    cmap = dict(DEFAULT_CATEGORY_MAP)
-    if category_map:
-        cmap.update(category_map)
     references = {p.id: p.reference for p in manifest}
     out: dict[str, AnnotationSet] = {}
     for lineno, record in _iter_jsonl(path, "annotations", AnnotationError):
         where = f"{path}:{lineno}"
-        record_id = _annotation_id(record, where)
+        record_id = _require(record, "id", where, AnnotationError)
+        if not isinstance(record_id, str):
+            raise AnnotationError(f"{where}: field 'id' must be a string, got {type(record_id).__name__}")
         raw_entities = _require(record, "entities", where, AnnotationError)
         if record_id not in references:
             if strict:
@@ -214,66 +191,15 @@ def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False,
             continue
         if record_id in out:
             raise AnnotationError(f"{where}: duplicate annotation for id {record_id!r}")
-        out[record_id] = _build_annotation_set(record_id, raw_entities,
-                                               references[record_id], where, cmap)
-    return out
-
-
-class FileNerSource:
-    """Annotation source backed by a prepared annotations file keyed by id.
-
-    Lets the whole toolkit run offline; a live NER service is a drop-in
-    replacement implementing the same annotate() contract.
-    """
-
-    def __init__(self, path, category_map: dict[str, EntityCategory] | None = None):
-        self._path = path
-        self._category_map = dict(DEFAULT_CATEGORY_MAP)
-        if category_map:
-            self._category_map.update(category_map)
-        self._records: dict[str, tuple[int, list]] = {}
-        for lineno, record in _iter_jsonl(path, "annotations", AnnotationError):
-            where = f"{path}:{lineno}"
-            record_id = _annotation_id(record, where)
-            if record_id in self._records:
-                raise AnnotationError(f"{where}: duplicate annotation for id {record_id!r}")
-            self._records[record_id] = (lineno, _require(record, "entities", where, AnnotationError))
-
-    def annotate(self, pair: TranscriptPair) -> Sequence[EntityAnnotation]:
-        found = self._records.get(pair.id)
-        if found is None:
-            raise AnnotationError(f"{self._path}: no annotations for id {pair.id!r}")
-        lineno, raw_entities = found
-        where = f"{self._path}:{lineno}"
-        return _build_annotation_set(pair.id, raw_entities, pair.reference,
-                                     where, self._category_map).entities
-
-
-def fetch_annotations(source: NerSource, pairs: list[TranscriptPair],
-                      strict: bool = False) -> dict[str, AnnotationSet]:
-    """Pull annotations from a source for every pair.
-
-    Per-id failures are collected: strict mode raises with all of them,
-    otherwise each is logged and the id omitted from the result.
-    """
-    out: dict[str, AnnotationSet] = {}
-    failures: list[str] = []
-    for pair in pairs:
-        try:
-            entities = tuple(source.annotate(pair))
-        except IngestionError as e:
-            failures.append(str(e))
-            continue
-        except Exception as e:  # any source fault costs that sample only
-            log.debug("annotation source failed on %r", pair.id, exc_info=True)
-            failures.append(f"annotation source failed on {pair.id!r}: {type(e).__name__}: {e}")
-            continue
-        out[pair.id] = AnnotationSet(pair.id, tuple(sorted(entities, key=lambda x: (x.begin, x.end))))
-    if failures:
-        if strict:
-            raise AnnotationError("annotation source failures:\n  " + "\n  ".join(failures))
-        for message in failures:
-            log.warning("skipping sample: %s", message)
+        if not isinstance(raw_entities, list):
+            raise AnnotationError(f"{where}: 'entities' must be a list")
+        entities = [_parse_entity(raw, references[record_id], record_id, where) for raw in raw_entities]
+        entities.sort(key=lambda e: (e.begin, e.end))
+        out[record_id] = AnnotationSet(record_id, tuple(entities))
+    if strict:
+        missing = [p.id for p in manifest if p.id not in out]
+        if missing:
+            raise AnnotationError(f"missing annotations for id(s): {', '.join(repr(m) for m in missing)}")
     return out
 
 
@@ -507,6 +433,8 @@ def load_report(path) -> Report:
             doc = json.load(handle)
         except json.JSONDecodeError as e:
             raise ReportError(f"{path}: malformed JSON: {e}") from e
+        except UnicodeDecodeError as e:
+            raise ReportError(f"{path}: not UTF-8 text ({e.reason})") from e
     if not isinstance(doc, dict):
         raise ReportError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     try:

@@ -144,6 +144,21 @@ def test_hostile_annotation_record_exits_two(tmp_path, capsys, record):
     assert "a.jsonl:1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "align"])
+@pytest.mark.parametrize("broken, line", [
+    ("m.jsonl", b'{"id": "s2", "reference": "caf\xe9", "hypothesis": "x"}\n'),
+    ("a.jsonl", b'{"id": "s1", "entities": []}\xff\n'),
+], ids=["manifest", "annotations"])
+def test_non_utf8_input_exits_two_naming_the_file(tmp_path, capsys, command, broken, line):
+    manifest = write_jsonl(tmp_path / "m.jsonl", [{"id": "s1", "reference": "the cough", "hypothesis": "x"}])
+    annotations = write_jsonl(tmp_path / "a.jsonl", [])
+    path = tmp_path / broken
+    path.write_bytes(path.read_bytes() + line)
+    code = cli.main([command, "--manifest", str(manifest), "--annotations", str(annotations)])
+    assert code == cli.EXIT_INGESTION
+    assert str(path) in capsys.readouterr().err
+
+
 def test_strict_mode_requires_annotations_for_every_sample(tmp_path, capsys):
     manifest = write_jsonl(tmp_path / "m.jsonl", [
         {"id": "s1", "reference": "the cough", "hypothesis": "x"},
@@ -186,6 +201,11 @@ def test_report_section_the_format_cannot_hold_is_a_usage_error(golden_files, tm
 
 def test_missing_required_flag_is_a_usage_error(capsys):
     assert cli.main(["evaluate", "--manifest", "m"]) == cli.EXIT_USAGE
+
+
+def test_every_public_name_resolves_and_is_listed_once():
+    assert [name for name in medwer.__all__ if not hasattr(medwer, name)] == []
+    assert sorted(set(medwer.__all__)) == sorted(medwer.__all__)
 
 
 def test_importing_the_cli_loads_neither_the_selfcheck_nor_the_pool():

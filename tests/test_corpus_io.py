@@ -3,11 +3,11 @@ import math
 
 import pytest
 
-from helpers import dump_corpus, write_jsonl
+from helpers import write_jsonl
 from medwer.align import EntityCategory
-from medwer.corpus import (AnnotationError, FileNerSource, IngestionError, ManifestError,
-                           ReportError, fetch_annotations, load_annotations, load_manifest,
-                           load_report, render_table, write_report)
+from medwer.corpus import (AnnotationError, IngestionError, ManifestError, ReportError,
+                           load_annotations, load_manifest, load_report, render_table,
+                           write_report)
 from medwer.fixtures import load_golden, synthetic_corpus
 from medwer.runner import RunConfig, evaluate_corpus
 
@@ -91,14 +91,6 @@ def test_load_annotations_unknown_category(tmp_path):
         load_annotations(path, manifest)
 
 
-def test_load_annotations_custom_category_map(tmp_path):
-    manifest = _manifest(tmp_path)
-    path = write_jsonl(tmp_path / "a.jsonl", [
-        {"id": "s1", "entities": [{"text": "digoxin", "category": "DRUG", "begin": 4, "end": 11}]}])
-    annotations = load_annotations(path, manifest, category_map={"DRUG": EntityCategory.MED})
-    assert annotations["s1"].entities[0].category is EntityCategory.MED
-
-
 def test_load_annotations_unknown_id_warns_then_skips(tmp_path, caplog):
     manifest = _manifest(tmp_path)
     path = write_jsonl(tmp_path / "a.jsonl", [{"id": "ghost", "entities": []}])
@@ -156,8 +148,6 @@ def test_load_annotations_rejects_non_string_id(tmp_path, record_id):
     path = write_jsonl(tmp_path / "a.jsonl", [{"id": record_id, "entities": []}])
     with pytest.raises(AnnotationError, match=r"a\.jsonl:1.*'id' must be a string"):
         load_annotations(path, manifest)
-    with pytest.raises(AnnotationError, match=r"a\.jsonl:1.*'id' must be a string"):
-        FileNerSource(path)
 
 
 @pytest.mark.parametrize("entity", ["context", ["text"], 4, None])
@@ -166,31 +156,6 @@ def test_load_annotations_rejects_entity_that_is_not_an_object(tmp_path, entity)
     path = write_jsonl(tmp_path / "a.jsonl", [{"id": "s1", "entities": [entity]}])
     with pytest.raises(AnnotationError, match=r"a\.jsonl:1.*entity must be an object"):
         load_annotations(path, manifest)
-    with pytest.raises(AnnotationError, match="entity must be an object"):
-        fetch_annotations(FileNerSource(path), manifest, strict=True)
-
-
-def test_file_ner_source_matches_loader(tmp_path):
-    pairs, annotations = load_golden()
-    manifest_path, annotations_path = dump_corpus(tmp_path, pairs, annotations)
-    loaded = load_annotations(annotations_path, pairs)
-    fetched = fetch_annotations(FileNerSource(annotations_path), pairs)
-    assert fetched == loaded
-
-
-def test_fetch_annotations_strict_names_missing_id(tmp_path):
-    manifest = _manifest(tmp_path)
-    extra = load_manifest(write_jsonl(tmp_path / "m2.jsonl", [
-        {"id": "s1", "reference": "the digoxin level", "hypothesis": "x"},
-        {"id": "s9", "reference": "more text", "hypothesis": "y"}]))
-    path = write_jsonl(tmp_path / "a.jsonl", [
-        {"id": "s1", "entities": [{"text": "digoxin", "category": "MED", "begin": 4, "end": 11}]}])
-    source = FileNerSource(path)
-    with pytest.raises(AnnotationError, match="'s9'"):
-        fetch_annotations(source, extra, strict=True)
-    relaxed = fetch_annotations(source, extra)
-    assert set(relaxed) == {"s1"}
-    assert fetch_annotations(source, []) == {}
 
 
 def _evaluated(tmp_path, n=8):
@@ -292,33 +257,13 @@ def test_identical_inputs_write_identical_bytes(tmp_path):
     ('{"per_sample": []}\n', r"missing field 'corpus'"),
     ('{"corpus": {"wer": {"substitutions": 1}', r"malformed JSON"),
     ('[1, 2]\n', r"expected a JSON object"),
+    (b"\xff\xfe{", r"not UTF-8"),
 ])
 def test_load_report_rejects_foreign_or_truncated_json(tmp_path, content, match):
     path = tmp_path / "r.json"
-    path.write_text(content, encoding="utf-8")
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     with pytest.raises(ReportError, match=match) as info:
         load_report(path)
     assert str(path) in str(info.value)
     assert isinstance(info.value, IngestionError)
 
-
-class _FlakySource:
-    """Annotates every pair with no entities, but crashes on one id."""
-
-    def __init__(self, bad_id):
-        self.bad_id = bad_id
-
-    def annotate(self, pair):
-        if pair.id == self.bad_id:
-            raise RuntimeError("service unavailable")
-        return ()
-
-
-def test_fetch_annotations_wraps_any_source_failure(tmp_path):
-    pairs = load_manifest(write_jsonl(tmp_path / "m.jsonl", [
-        {"id": "s1", "reference": "a", "hypothesis": "a"},
-        {"id": "s2", "reference": "b", "hypothesis": "b"}]))
-    source = _FlakySource("s2")
-    with pytest.raises(AnnotationError, match=r"'s2'.*RuntimeError: service unavailable"):
-        fetch_annotations(source, pairs, strict=True)
-    assert set(fetch_annotations(source, pairs)) == {"s1"}

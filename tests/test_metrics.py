@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import annotated_sample
-from medwer._oracles import reference_edit_counts
+from medwer._oracles import all_alignments_distance, dp_distance, reference_edit_counts
 from medwer.align import EntityCategory, med_text_align
 from medwer.fixtures import load_golden, synthetic_corpus
 from medwer.metrics import (CorpusMetrics, EditCounts, RecallCount, SampleMetrics,
@@ -287,6 +287,13 @@ def test_aggregate_is_order_independent(specs, rnd):
     shuffled = list(samples)
     rnd.shuffle(shuffled)
     assert _corpus_equal(aggregate(samples), aggregate(shuffled))
+
+
+@given(tokens, tokens)
+def test_distance_oracles_and_edit_distance_equal_the_all_alignments_minimum(a, b):
+    want = all_alignments_distance(a, b)
+    subs, ins, dels, _ = reference_edit_counts(a, b)
+    assert dp_distance(a, b) == subs + ins + dels == edit_distance(a, b).errors == want
 
 
 @given(tokens, tokens)
