@@ -9,9 +9,10 @@ import json
 import logging
 import sys
 
-from .corpus import IngestionError, load_annotations, load_manifest, write_report
+from .align import DEFAULT_THRESHOLD
+from .corpus import REPORT_FORMATS, IngestionError, load_annotations, load_manifest, write_report
 from .runner import GROUP_KEYS, RunConfig, align_corpus, evaluate_corpus
-from .textnorm import NORMALIZATION_MODES
+from .textnorm import DEFAULT_MAX_NGRAM, NORMALIZATION_MODES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,10 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="line-delimited JSON with id/reference/hypothesis records")
     common.add_argument("--annotations", required=True,
                         help="line-delimited JSON with per-id entity annotations")
-    common.add_argument("--threshold", type=float, default=0.5,
-                        help="fuzzy-match cutoff in (0, 1] (default 0.5)")
-    common.add_argument("--max-ngram", type=int, default=3,
-                        help="largest candidate n-gram (default 3)")
+    common.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                        help=f"fuzzy-match cutoff in (0, 1] (default {DEFAULT_THRESHOLD})")
+    common.add_argument("--max-ngram", type=int, default=DEFAULT_MAX_NGRAM,
+                        help=f"largest candidate n-gram (default {DEFAULT_MAX_NGRAM})")
     common.add_argument("--normalization", choices=NORMALIZATION_MODES, default="standard",
                         help="text normalization policy (default standard)")
     common.add_argument("--strict", action="store_true",
@@ -52,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser("evaluate", parents=[common],
                               help="run alignment and all metrics, write a report")
-    evaluate.add_argument("--format", choices=("json", "csv", "table"), default="json",
+    evaluate.add_argument("--format", choices=REPORT_FORMATS, default="json",
                           dest="fmt", help="report format (default json)")
     evaluate.add_argument("--per-sample", action="store_true",
                           help="include per-sample rows in the report")

@@ -1,15 +1,17 @@
-"""Corpus file formats, ingestion with validation, and report persistence.
+"""Corpus file formats, ingestion with validation, and report writing.
 
 Manifests and annotations are line-delimited JSON. A manifest record holds
 `id`, `reference`, `hypothesis` and optional `accent`, `domain`, `model`.
 An annotation record holds `id` and `entities`, each entity with `text`,
 `category`, `begin`, `end` and an optional `score`; offsets are code-point
 based and validated against the paired reference text. A `score`, when
-present, must lie in [0, 1]; it is validated, then ignored.
+present, must lie in [0, 1]; it is validated, then ignored. Both files are
+UTF-8 text; a leading byte-order mark is accepted.
 
-Reports are written as json, csv, or a human-readable table. Output is
-byte-identical for identical inputs: field order is fixed and every rate is
-rendered with four decimals (half-even, via standard float formatting).
+Reports are written as json, csv, or a human-readable table; nothing reads
+them back. Output is byte-identical for identical inputs: field order is
+fixed and every rate is rendered with four decimals (half-even, via standard
+float formatting).
 """
 
 import csv
@@ -56,10 +58,6 @@ class AnnotationError(IngestionError):
     pass
 
 
-class ReportError(IngestionError):
-    """A json report could not be read back."""
-
-
 @dataclass(frozen=True)
 class TranscriptPair:
     """One evaluation sample: reference transcript and ASR hypothesis."""
@@ -80,7 +78,7 @@ class AnnotationSet:
 
 def _iter_jsonl(path, kind: str, err: type[IngestionError]):
     try:
-        handle = open(path, encoding="utf-8")
+        handle = open(path, encoding="utf-8-sig")
     except OSError as e:
         raise err(f"cannot read {kind} {path}: {e.strerror or e}") from e
     # text mode keeps the universal-newline line splitting; a bad byte
@@ -377,77 +375,3 @@ def write_report(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None,
         path.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
-
-
-# --- report loading (json only) ----------------------------------------------
-
-
-@dataclass
-class Report:
-    config: dict | None
-    corpus: CorpusMetrics
-    per_sample: list[SampleMetrics] | None
-    groups: dict[str, CorpusMetrics] | None
-
-
-def _counts_from(obj: dict) -> EditCounts:
-    return EditCounts(obj["substitutions"], obj["insertions"], obj["deletions"],
-                      obj["hits"], obj["ref_len"])
-
-
-def _macro_from(obj: dict) -> float:
-    value = obj.get("macro_rate")
-    return math.nan if value is None else float(value)
-
-
-def _recall_from(obj: dict) -> dict[EntityCategory, RecallCount]:
-    return {EntityCategory(name): RecallCount(entry["recalled"], entry["total"])
-            for name, entry in obj.items()}
-
-
-def _corpus_from(obj: dict) -> CorpusMetrics:
-    return CorpusMetrics(
-        wer=_counts_from(obj["wer"]),
-        mwer=_counts_from(obj["mwer"]),
-        mcer=_counts_from(obj["mcer"]),
-        recall=_recall_from(obj["recall"]),
-        samples=obj["samples"],
-        skipped_zero_entity=obj["skipped_zero_entity"],
-        skipped_zero_word=obj["skipped_zero_word"],
-        macro_wer=_macro_from(obj["wer"]),
-        macro_mwer=_macro_from(obj["mwer"]),
-        macro_mcer=_macro_from(obj["mcer"]),
-        macro_recall={EntityCategory(name): _macro_from(entry)
-                      for name, entry in obj["recall"].items()},
-    )
-
-
-def load_report(path) -> Report:
-    """Read back a json report; counts and rates survive a write/load/write cycle.
-
-    Raises ReportError, naming the path, on malformed JSON or on a document
-    that is not a report.
-    """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as e:
-            raise ReportError(f"{path}: malformed JSON: {e}") from e
-        except UnicodeDecodeError as e:
-            raise ReportError(f"{path}: not UTF-8 text ({e.reason})") from e
-    if not isinstance(doc, dict):
-        raise ReportError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    try:
-        per_sample = None
-        if "per_sample" in doc:
-            per_sample = [SampleMetrics(s["id"], _counts_from(s["wer"]), _counts_from(s["mwer"]),
-                                        _counts_from(s["mcer"]), _recall_from(s["recall"]))
-                          for s in doc["per_sample"]]
-        groups = None
-        if "groups" in doc:
-            groups = {key: _corpus_from(value) for key, value in doc["groups"].items()}
-        return Report(doc.get("config"), _corpus_from(doc["corpus"]), per_sample, groups)
-    except KeyError as e:
-        raise ReportError(f"{path}: not a medwer report: missing field {e.args[0]!r}") from e
-    except (TypeError, ValueError, AttributeError) as e:
-        raise ReportError(f"{path}: not a medwer report: {e}") from e

@@ -4,24 +4,16 @@ The ratio between two strings is 2*M/T, where M is the total length of the
 match blocks found by recursively taking the longest common contiguous block
 and repeating on the pieces to its left and right, and T is the combined
 length of both strings. Scores fall in [0, 1], with 1 only for identical
-strings.
+strings. The API is `similarity_ratio` for the score and `match_total` for
+its integer numerator half M.
 
 No junk heuristic is ever applied: the score for a string pair depends on
 nothing but the two strings, which keeps results reproducible regardless of
 input length. Ties when picking a block are broken by longest first, then
 smallest start in the first string, then smallest start in the second, so
-the decomposition is deterministic.
+the decomposition is deterministic. The chosen block splits the strings for
+the recursion, so the tie-break can change M itself.
 """
-
-from typing import NamedTuple
-
-
-class MatchBlock(NamedTuple):
-    """A common contiguous block: a[a_start:a_start+length] == b[b_start:...]."""
-
-    a_start: int
-    b_start: int
-    length: int
 
 
 def _index(b: str, lo: int, hi: int) -> dict:
@@ -57,42 +49,19 @@ def _longest(a: str, alo: int, ahi: int, blo: int, bhi: int, b2j: dict) -> tuple
     return besti, bestj, bestk
 
 
-def longest_match(a: str, b: str, a_range: tuple[int, int] | None = None,
-                  b_range: tuple[int, int] | None = None) -> MatchBlock | None:
-    """Maximal common contiguous block within the given half-open ranges.
-
-    Ranges default to the whole strings. Returns None when the ranges share
-    no character.
-    """
-    alo, ahi = a_range if a_range is not None else (0, len(a))
-    blo, bhi = b_range if b_range is not None else (0, len(b))
-    if not (0 <= alo <= ahi <= len(a)):
-        raise ValueError(f"invalid range {(alo, ahi)} for string of length {len(a)}")
-    if not (0 <= blo <= bhi <= len(b)):
-        raise ValueError(f"invalid range {(blo, bhi)} for string of length {len(b)}")
-    i, j, k = _longest(a, alo, ahi, blo, bhi, _index(b, blo, bhi))
-    return MatchBlock(i, j, k) if k else None
-
-
-def matching_blocks(a: str, b: str) -> list[MatchBlock]:
-    """All match blocks of the recursive decomposition, sorted by a_start."""
+def match_total(a: str, b: str) -> int:
+    """Total matched length M; the integer numerator half of the ratio."""
     b2j = _index(b, 0, len(b))
-    blocks = []
+    total = 0
     stack = [(0, len(a), 0, len(b))]
     while stack:
         alo, ahi, blo, bhi = stack.pop()
         i, j, k = _longest(a, alo, ahi, blo, bhi, b2j)
         if k:
-            blocks.append(MatchBlock(i, j, k))
+            total += k
             stack.append((alo, i, blo, j))
             stack.append((i + k, ahi, j + k, bhi))
-    blocks.sort()
-    return blocks
-
-
-def match_total(a: str, b: str) -> int:
-    """Total matched length M; the integer numerator half of the ratio."""
-    return sum(block.length for block in matching_blocks(a, b))
+    return total
 
 
 def similarity_ratio(entity: str, candidate: str) -> float:

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .align import (DEFAULT_THRESHOLD, AlignedEntity, EntityAnnotation, med_text_align,
-                    shared_span_count)
+from .align import DEFAULT_THRESHOLD, AlignedEntity, med_text_align, shared_span_count
 from .corpus import REPORT_FORMATS, AnnotationSet, TranscriptPair
 from .metrics import (CorpusMetrics, SampleMetrics, aggregate, entity_recall,
                       medical_cer, medical_wer, wer)
@@ -83,13 +82,6 @@ def _eval_task(task) -> tuple[list[AlignedEntity], SampleMetrics | None]:
         mcer=medical_cer(aligned),
         recall=entity_recall(aligned),
     )
-
-
-def evaluate_sample(pair: TranscriptPair, entities: tuple[EntityAnnotation, ...],
-                    threshold: float = DEFAULT_THRESHOLD, max_n: int = DEFAULT_MAX_NGRAM,
-                    mode: str = "standard") -> SampleMetrics:
-    """The metrics of one sample, computed as evaluate_corpus computes them."""
-    return _eval_task((pair, entities, threshold, max_n, mode, True))[1]
 
 
 def _run_tasks(pairs: list[TranscriptPair], annotations: dict[str, AnnotationSet], cfg: RunConfig,

@@ -12,6 +12,7 @@ from helpers import dump_corpus, write_jsonl
 from medwer import cli, fixtures, metrics
 from medwer.fixtures import load_golden
 from medwer.metrics import EditCounts
+from medwer.runner import RunConfig
 
 
 @pytest.fixture()
@@ -201,6 +202,12 @@ def test_report_section_the_format_cannot_hold_is_a_usage_error(golden_files, tm
 
 def test_missing_required_flag_is_a_usage_error(capsys):
     assert cli.main(["evaluate", "--manifest", "m"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["evaluate", "align"])
+def test_cli_defaults_are_the_run_config_defaults(command):
+    args = cli.build_parser().parse_args([command, "--manifest", "m", "--annotations", "a"])
+    assert cli._run_config(args) == RunConfig(manifest="m", annotations="a")
 
 
 def test_every_public_name_resolves_and_is_listed_once():

@@ -6,7 +6,7 @@ import pytest
 from medwer.align import EntityCategory
 from medwer.fixtures import load_golden, synthetic_corpus
 from medwer.metrics import aggregate
-from medwer.runner import RunConfig, align_corpus, evaluate_corpus, evaluate_sample
+from medwer.runner import RunConfig, align_corpus, evaluate_corpus
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -75,8 +75,8 @@ def test_worker_count_does_not_change_results():
 
 def test_evaluate_sample_shape():
     pairs, annotations = load_golden()
-    pair = next(p for p in pairs if p.id == "t2r1")
-    sample = evaluate_sample(pair, annotations["t2r1"].entities)
+    _, samples, _ = evaluate_corpus(pairs, annotations, RunConfig())
+    sample = next(s for s in samples if s.sample_id == "t2r1")
     assert sample.sample_id == "t2r1"
     assert (sample.mwer.errors, sample.mwer.ref_len) == (4, 3)
     assert sample.recall[EntityCategory.MED].total == 3
