@@ -1,15 +1,19 @@
 """Naive reference implementations for cross-checking the fast paths.
 
-Nothing here shares code with the production modules. The self-check and the
-test suite use these to regenerate derived expectations from first
-principles: an exhaustive-table longest-block search for the similarity
-ratio, an all-alignments recursion and a full-table backtrace for edit
-distance, a character loop for normalization, and an every-candidate scan
-for the alignment.
+Nothing here but reference_sample_json shares code with the production
+modules. The self-check and the test suite use these to regenerate derived
+expectations from first principles: an exhaustive-table longest-block search
+for the similarity ratio, an all-alignments recursion and a full-table
+backtrace for edit distance, a character loop for normalization, and an
+every-candidate scan for the alignment. reference_sample_json renders a
+report row through the generic JSON writer that renders the rest of the
+report, which is the reference for the fixed per-sample row template.
 """
 
 import unicodedata
 from typing import NamedTuple
+
+from .corpus import _dump_json, _edit_counts_dict, _recall_dict
 
 
 def naive_longest_block(a, b, alo, ahi, blo, bhi):
@@ -228,3 +232,19 @@ def oracle_align(entity_text, hypothesis, threshold=0.5, max_n=3, mode="standard
         if best is None or key < best[0]:
             best = (key, OracleMatch(start, n, surface, cand, score))
     return None if best is None else best[1]
+
+
+def _sample_dict(sample):
+    return {
+        "id": sample.sample_id,
+        "wer": _edit_counts_dict(sample.wer),
+        "mwer": _edit_counts_dict(sample.mwer),
+        "mcer": _edit_counts_dict(sample.mcer),
+        "recall": _recall_dict(sample.recall),
+    }
+
+
+def reference_sample_json(sample):
+    """One per_sample row of a JSON report, with its indent, rendered from a
+    dict by the generic writer."""
+    return "    " + _dump_json(_sample_dict(sample), 2)

@@ -20,10 +20,18 @@ character-count bound 2*overlap/(t + c), with overlap the size of the
 multiset intersection of the two strings' characters, screens each
 candidate; those that pass are scored with the full ratio highest bound
 first. Both bounds are true upper bounds (difflib's real_quick_ratio and
-quick_ratio), so the scan order and the early stop change no result. The
-character overlaps of a target with a whole length group come from count
-columns, one per character and length with a byte per candidate, added as
-big ints. A target that recurs in a sample reuses its first result.
+quick_ratio), so the scan order and the early stop change no result.
+
+The character overlaps of a target with a length group of at most
+_SMALL_GROUP strings are counted string by string, from the target's
+characters that occur once and the counts of those that repeat. A larger
+group takes them from count columns, one per character and length with a
+byte per candidate, added as big ints. Group size decides because it decides
+which costs less: on the paper's shape (30-token utterances) 97% of the
+groups a target visits hold 8 strings or fewer, and building a column there
+costs more than it saves; in a 2000-token consultation every visited group
+holds 90 strings or more, and every target of the sample reuses its
+columns. A target that recurs in a sample reuses its first result.
 """
 
 from bisect import bisect_left, bisect_right
@@ -142,6 +150,8 @@ def _distinct_ngrams(words: list[str], max_n: int) -> dict[str, tuple[int, int]]
 
 # A byte lane holds the character overlap of a candidate of at most this length.
 _LANE_MAX = 255
+# A length group of at most this many strings is counted string by string.
+_SMALL_GROUP = 8
 
 
 @cache
@@ -153,10 +163,10 @@ def _cap(n: int) -> bytes:
 class _Candidates:
     """The distinct candidate strings of one sample, ordered by length.
 
-    For each character a target contains and each length the target's scan
-    reaches, the count of that character in every string of that length is
-    kept as one byte per string, built on first use and shared by the
-    sample's entities.
+    For each character a target contains and each length group of more
+    than _SMALL_GROUP strings the target's scan reaches, the count of that
+    character in every string of that length is kept as one byte per
+    string, built on first use and shared by the sample's entities.
     """
 
     def __init__(self, first: dict[str, tuple[int, int]]):
@@ -166,19 +176,34 @@ class _Candidates:
         self.groups = {n: (bisect_left(lengths, n), bisect_right(lengths, n)) for n in set(lengths)}
         self.columns: dict[tuple[str, int], bytes] = {}
 
-    def overlaps(self, tcounter: Counter, clen: int) -> bytes | list[int]:
+    def overlaps(self, tcounter: Counter, single: frozenset, repeated: list[tuple[str, int]],
+                 clen: int) -> bytes | list[int]:
         """Item k is the size of the multiset intersection of the target's
         characters, given as tcounter, and those of the k-th string of
-        length clen.
+        length clen. single holds the target's characters that occur once
+        and repeated the (character, count) of the others.
 
-        Up to _LANE_MAX, each character's capped counts are added as one big
-        int with a byte per string; a sum never exceeds clen, so no byte
-        carries into the next. Longer strings are counted directly.
+        A group of at most _SMALL_GROUP strings, or of strings longer than
+        _LANE_MAX, is counted string by string: a single character adds one
+        if the string holds it, a repeated one its capped count. On the
+        paper's shape about 97% of the groups a target visits hold 8 strings
+        or fewer, and there a count column costs more to build than it
+        saves. A larger group adds each character's capped counts as one
+        big int with a byte per string; a sum never exceeds clen, so no byte
+        carries into the next. Its columns pay off because every target of
+        the sample reuses them.
         """
         lo, hi = self.groups[clen]
         group = self.strings[lo:hi]
-        if clen > _LANE_MAX:
-            return [sum(min(n, cand.count(ch)) for ch, n in tcounter.items()) for cand in group]
+        if hi - lo <= _SMALL_GROUP or clen > _LANE_MAX:
+            overlaps = []
+            for cand in group:
+                overlap = len(single.intersection(cand))
+                for ch, n in repeated:
+                    count = cand.count(ch)
+                    overlap += count if count < n else n  # min() costs a call per character
+                overlaps.append(overlap)
+            return overlaps
         lanes = 0
         for ch, n in tcounter.items():
             column = self.columns.get((ch, clen))
@@ -200,6 +225,8 @@ def _closest(target: str, candidates: _Candidates, threshold: float) -> tuple[st
     """
     tlen = len(target)
     tcounter = Counter(target)
+    single = frozenset(ch for ch, n in tcounter.items() if n == 1)
+    repeated = [(ch, n) for ch, n in tcounter.items() if n > 1]
     strings = candidates.strings
     best: str | None = None
     best_key: tuple | None = None
@@ -226,7 +253,7 @@ def _closest(target: str, candidates: _Candidates, threshold: float) -> tuple[st
         if bound < floor:
             break
         lo, hi = candidates.groups[clen]
-        group_overlaps = candidates.overlaps(tcounter, clen)
+        group_overlaps = candidates.overlaps(tcounter, single, repeated, clen)
         total = tlen + clen
         if 2.0 * max(group_overlaps) / total < floor:
             continue

@@ -16,11 +16,11 @@ the recursion, so the tie-break can change M itself.
 """
 
 
-def _index(b: str, lo: int, hi: int) -> dict:
-    """Positions of each character of b within [lo, hi), ascending."""
+def _index(b: str) -> dict:
+    """Positions of each character of b, ascending."""
     b2j: dict = {}
-    for j in range(lo, hi):
-        b2j.setdefault(b[j], []).append(j)
+    for j, ch in enumerate(b):
+        b2j.setdefault(ch, []).append(j)
     return b2j
 
 
@@ -51,7 +51,7 @@ def _longest(a: str, alo: int, ahi: int, blo: int, bhi: int, b2j: dict) -> tuple
 
 def match_total(a: str, b: str) -> int:
     """Total matched length M; the integer numerator half of the ratio."""
-    b2j = _index(b, 0, len(b))
+    b2j = _index(b)
     total = 0
     stack = [(0, len(a), 0, len(b))]
     while stack:

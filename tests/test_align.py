@@ -1,11 +1,15 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import annotated_sample
 from medwer._oracles import oracle_align, reference_normalize
-from medwer.align import (EntityAnnotation, EntityCategory, ground_truth_sequence,
-                          med_text_align, recovered_sequence, shared_span_count)
+from medwer.align import (_LANE_MAX, _SMALL_GROUP, EntityAnnotation, EntityCategory, _Candidates,
+                          ground_truth_sequence, med_text_align, recovered_sequence,
+                          shared_span_count)
 from medwer.fixtures import load_golden
 from medwer.fuzzy import similarity_ratio
 from medwer.textnorm import normalize, tokenize
@@ -236,11 +240,51 @@ def test_matches_every_candidate_oracle(case):
     ("a" * 280 + "b", "a" * 300 + " " + "ab" * 140 + " b" * 3),
     ("ab" * 10, "a" * 256 + " " + "ab" * 9 + " b" * 20),
     ("xy" * 130, "y" * 200 + "x" * 150 + " " + "yx" * 120 + " xy"),
-])
+], ids=["a300", "a280b", "ab10", "xy130"])
 def test_long_strings_match_the_oracle(entity_text, hypothesis):
+    _assert_matches_oracle(entity_text, hypothesis)
+
+
+def _assert_matches_oracle(entity_text, hypothesis, max_n=3):
     for threshold in (0.5, 0.9):
-        [ae] = med_text_align([_entity(entity_text, 0)], hypothesis, threshold)
-        want = oracle_align(entity_text, hypothesis, threshold)
+        [ae] = med_text_align([_entity(entity_text, 0)], hypothesis, threshold, max_n)
+        want = oracle_align(entity_text, hypothesis, threshold, max_n)
         got = None if ae.candidate is None else (ae.candidate.start_token, ae.candidate.length_tokens,
                                                  ae.candidate.surface, ae.candidate.normalized, ae.score)
         assert got == want
+
+
+def _words(alphabet, count, length, seed):
+    """count distinct words of the given length over alphabet."""
+    rng = random.Random(seed)
+    words: dict[str, None] = {}
+    while len(words) < count:
+        words["".join(rng.choice(alphabet) for _ in range(length))] = None
+    return list(words)
+
+
+# A length group of more than _SMALL_GROUP strings is counted through count
+# columns, or string by string when its strings are too long for a byte lane.
+@pytest.mark.parametrize("words, entity_text", [
+    (_words("abc", 12, 6, seed=1), "abccab"),
+    (_words("ñéüa", 12, 6, seed=2), "ñéñüaé"),
+    (["a" * (130 + i) + "b" * (130 - i) for i in range(_SMALL_GROUP + 2)], "a" * 133 + "c" + "b" * 126),
+], ids=["ascii", "non-ascii", "past-lane"])
+def test_large_length_groups_match_the_oracle(words, entity_text):
+    assert sum(len(w) == len(entity_text) for w in set(words)) > _SMALL_GROUP
+    _assert_matches_oracle(entity_text, " ".join(words), max_n=1 if len(entity_text) > _LANE_MAX else 3)
+
+
+@pytest.mark.parametrize("clen", [6, _LANE_MAX + 1])
+@pytest.mark.parametrize("size", [_SMALL_GROUP, _SMALL_GROUP + 1])
+def test_overlaps_count_the_multiset_intersection(size, clen):
+    strings = _words("abñ", size, clen, seed=size)
+    candidates = _Candidates({s: (1, i) for i, s in enumerate(strings)})
+    for target in (strings[0], "a" * clen, "ab" + "ñ" * (clen - 3), "b", "ñaab"):
+        tcounter = Counter(target)
+        single = frozenset(ch for ch, n in tcounter.items() if n == 1)
+        repeated = [(ch, n) for ch, n in tcounter.items() if n > 1]
+        got = list(candidates.overlaps(tcounter, single, repeated, clen))
+        assert got == [sum((tcounter & Counter(s)).values()) for s in candidates.strings]
+    # count columns serve only groups above _SMALL_GROUP strings that fit a byte lane
+    assert bool(candidates.columns) == (size > _SMALL_GROUP and clen <= _LANE_MAX)

@@ -160,6 +160,27 @@ def test_non_utf8_input_exits_two_naming_the_file(tmp_path, capsys, command, bro
     assert str(path) in capsys.readouterr().err
 
 
+_PAIR = {"id": "s1", "reference": "the cough", "hypothesis": "x"}
+
+
+@pytest.mark.parametrize("command, more_pairs, more_annotations, broken", [
+    (["evaluate", "--format", "csv", "--per-sample"], [{**_PAIR, "id": "b\udc00"}], [], "m.jsonl"),
+    (["evaluate", "--format", "table", "--group-by", "accent"], [{**_PAIR, "id": "b", "accent": "\udc00"}],
+     [], "m.jsonl"),
+    (["align"], [], [{"id": "\ud800", "entities": []}], "a.jsonl"),
+], ids=["manifest-id", "manifest-accent", "annotations"])
+def test_lone_surrogate_exits_two_naming_the_line(tmp_path, capsys, command, more_pairs, more_annotations,
+                                                  broken):
+    manifest = write_jsonl(tmp_path / "m.jsonl", [_PAIR, *more_pairs])
+    annotations = write_jsonl(tmp_path / "a.jsonl", [{"id": "s1", "entities": []}, *more_annotations])
+    out = tmp_path / "o.out"
+    code = cli.main([command[0], "--manifest", str(manifest), "--annotations", str(annotations),
+                     "--out", str(out), *command[1:]])
+    assert code == cli.EXIT_INGESTION
+    assert f"{tmp_path / broken}:2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_strict_mode_requires_annotations_for_every_sample(tmp_path, capsys):
     manifest = write_jsonl(tmp_path / "m.jsonl", [
         {"id": "s1", "reference": "the cough", "hypothesis": "x"},

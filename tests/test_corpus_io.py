@@ -2,12 +2,17 @@ import codecs
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import write_jsonl
+from medwer._oracles import _sample_dict, reference_sample_json
 from medwer.align import EntityCategory
-from medwer.corpus import (AnnotationError, ManifestError, load_annotations, load_manifest,
-                           render_table, write_report)
+from medwer.corpus import (AnnotationError, ManifestError, TranscriptPair, _corpus_dict, _dump_json,
+                           _sample_json, load_annotations, load_manifest, render_json, render_table,
+                           write_report)
 from medwer.fixtures import fixture_path, load_golden, synthetic_corpus
+from medwer.metrics import EditCounts, RecallCount, SampleMetrics, aggregate
 from medwer.runner import RunConfig, evaluate_corpus
 
 
@@ -56,6 +61,35 @@ def test_load_manifest_malformed_json_reports_line(tmp_path):
     path.write_text('{"id": "s1", "reference": "a", "hypothesis": "a"}\n{oops\n', encoding="utf-8")
     with pytest.raises(ManifestError, match=r"m\.jsonl:2.*malformed JSON"):
         load_manifest(path)
+
+
+# JSON can escape a lone surrogate, which is not Unicode text and cannot be
+# written back out as UTF-8; a surrogate pair is one astral character.
+@pytest.mark.parametrize("record", [
+    {"id": "b\udc00", "reference": "a", "hypothesis": "a"},
+    {"id": "b", "reference": "a", "hypothesis": "a", "accent": "\ud800"},
+    {"id": "b", "reference": "a", "hypothesis": "a", "\udfff": 1},
+], ids=["id", "accent", "key"])
+def test_load_manifest_rejects_lone_surrogate_naming_line(tmp_path, record):
+    path = write_jsonl(tmp_path / "m.jsonl", [{"id": "s1", "reference": "a", "hypothesis": "a"}, record])
+    with pytest.raises(ManifestError, match=r"m\.jsonl:2: .*surrogate"):
+        load_manifest(path)
+
+
+def test_load_annotations_rejects_lone_surrogate_naming_line(tmp_path):
+    pairs = [TranscriptPair("s1", "the cough", "x")]
+    path = write_jsonl(tmp_path / "a.jsonl", [{"id": "s1", "entities": []},
+                                              {"id": "s\udc00", "entities": []}])
+    with pytest.raises(AnnotationError, match=r"a\.jsonl:2: .*surrogate"):
+        load_annotations(path, pairs)
+
+
+def test_surrogate_pair_escape_is_one_astral_character(tmp_path):
+    path = write_jsonl(tmp_path / "m.jsonl", [{"id": "b\U0001F600", "reference": "a \\u00e9",
+                                               "hypothesis": "a"}])
+    assert "\\ud83d" in path.read_text(encoding="utf-8")
+    [pair] = load_manifest(path)
+    assert (pair.id, pair.reference) == ("b\U0001F600", "a \\u00e9")
 
 
 def test_load_manifest_missing_file_names_path(tmp_path):
@@ -235,3 +269,44 @@ def test_identical_inputs_write_identical_bytes(tmp_path):
         write_report(corpus, samples, fmt, a, config=cfg.config_dict(), groups=groups)
         write_report(corpus, samples, fmt, b, config=cfg.config_dict(), groups=groups)
         assert a.read_bytes() == b.read_bytes()
+
+
+# Small counts give NaN (zero denominator) and whole-number rates often.
+_count = st.one_of(st.integers(0, 3), st.integers(0, 10**9))
+_sample_id = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\U0001F600'), st.characters()),
+                     min_size=1)
+_sample_metrics = st.builds(
+    SampleMetrics, _sample_id, *[st.builds(EditCounts, *[_count] * 5)] * 3,
+    st.dictionaries(st.sampled_from(list(EntityCategory)), st.builds(RecallCount, _count, _count)))
+
+
+def _generic_render_json(corpus, per_sample, config, groups):
+    """render_json with every row dict-built and rendered by the generic writer."""
+    doc = {}
+    if config is not None:
+        doc["config"] = {"threshold": float(config["threshold"]), "max_ngram": int(config["max_ngram"]),
+                         "normalization": str(config["normalization"])}
+    doc["corpus"] = _corpus_dict(corpus)
+    if groups:
+        doc["groups"] = {key: _corpus_dict(groups[key]) for key in sorted(groups)}
+    if per_sample is not None:
+        doc["per_sample"] = [_sample_dict(s) for s in per_sample]
+    return _dump_json(doc) + "\n"
+
+
+@given(_sample_metrics)
+def test_per_sample_row_template_matches_the_generic_rendering(sample):
+    assert _sample_json(sample) == reference_sample_json(sample)
+
+
+@settings(max_examples=50)
+@given(st.lists(_sample_metrics, max_size=4), st.booleans(), st.booleans())
+def test_render_json_matches_the_generic_rendering(samples, with_groups, with_config):
+    corpus = aggregate(samples)
+    groups = {"model=b": corpus, "model=a": aggregate(samples[:1])} if with_groups else None
+    config = RunConfig().config_dict() if with_config else None
+    for per_sample in (samples, [], None):
+        text = render_json(corpus, per_sample, config, groups)
+        assert text == _generic_render_json(corpus, per_sample, config, groups)
+        assert [row["id"] for row in json.loads(text).get("per_sample", [])] == \
+            [s.sample_id for s in per_sample or []]
