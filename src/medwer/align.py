@@ -22,25 +22,21 @@ candidate; those that pass are scored with the full ratio highest bound
 first. Both bounds are true upper bounds (difflib's real_quick_ratio and
 quick_ratio), so the scan order and the early stop change no result.
 
-The character overlaps of a target with a length group of at most
-_SMALL_GROUP strings are counted string by string, from the target's
-characters that occur once and the counts of those that repeat. A larger
-group takes them from count columns, one per character and length with a
-byte per candidate, added as big ints. Group size decides because it decides
-which costs less: on the paper's shape (30-token utterances) 97% of the
-groups a target visits hold 8 strings or fewer, and building a column there
-costs more than it saves; in a 2000-token consultation every visited group
-holds 90 strings or more, and every target of the sample reuses its
-columns. A target that recurs in a sample reuses its first result.
+The character overlaps of a target with a length group are counted string
+by string, from the target's characters that occur once and the counts of
+those that repeat; no per-sample index is built. On the paper's shape
+(30-token utterances) 97% of the groups a target visits hold 8 strings or
+fewer, too few for an index to pay for its building, and a 2000-token
+consultation visits only 8 to 52 groups of 90 to 289 strings in all, which
+direct counting scans in milliseconds. A target that recurs in a sample
+reuses its first result.
 """
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 from heapq import heappop, heappush
-from itertools import repeat
 
 from .fuzzy import similarity_ratio
 from .textnorm import DEFAULT_MAX_NGRAM, CandidateSpan, TokenSequence, normalize, tokenize
@@ -148,69 +144,31 @@ def _distinct_ngrams(words: list[str], max_n: int) -> dict[str, tuple[int, int]]
     return first
 
 
-# A byte lane holds the character overlap of a candidate of at most this length.
-_LANE_MAX = 255
-# A length group of at most this many strings is counted string by string.
-_SMALL_GROUP = 8
-
-
-@cache
-def _cap(n: int) -> bytes:
-    """The bytes.translate table of b -> min(b, n)."""
-    return bytes(min(b, n) for b in range(256))
-
-
 class _Candidates:
-    """The distinct candidate strings of one sample, ordered by length.
-
-    For each character a target contains and each length group of more
-    than _SMALL_GROUP strings the target's scan reaches, the count of that
-    character in every string of that length is kept as one byte per
-    string, built on first use and shared by the sample's entities.
-    """
+    """The distinct candidate strings of one sample, ordered by length."""
 
     def __init__(self, first: dict[str, tuple[int, int]]):
         self.first = first
         self.strings = sorted(first, key=len)
         lengths = list(map(len, self.strings))
         self.groups = {n: (bisect_left(lengths, n), bisect_right(lengths, n)) for n in set(lengths)}
-        self.columns: dict[tuple[str, int], bytes] = {}
 
-    def overlaps(self, tcounter: Counter, single: frozenset, repeated: list[tuple[str, int]],
-                 clen: int) -> bytes | list[int]:
+    def overlaps(self, single: frozenset, repeated: list[tuple[str, int]], clen: int) -> list[int]:
         """Item k is the size of the multiset intersection of the target's
-        characters, given as tcounter, and those of the k-th string of
-        length clen. single holds the target's characters that occur once
-        and repeated the (character, count) of the others.
-
-        A group of at most _SMALL_GROUP strings, or of strings longer than
-        _LANE_MAX, is counted string by string: a single character adds one
-        if the string holds it, a repeated one its capped count. On the
-        paper's shape about 97% of the groups a target visits hold 8 strings
-        or fewer, and there a count column costs more to build than it
-        saves. A larger group adds each character's capped counts as one
-        big int with a byte per string; a sum never exceeds clen, so no byte
-        carries into the next. Its columns pay off because every target of
-        the sample reuses them.
+        characters and those of the k-th string of length clen. single holds
+        the target's characters that occur once and repeated the
+        (character, count) of the others: a single character adds one if the
+        string holds it, a repeated one its count in the string, capped.
         """
         lo, hi = self.groups[clen]
-        group = self.strings[lo:hi]
-        if hi - lo <= _SMALL_GROUP or clen > _LANE_MAX:
-            overlaps = []
-            for cand in group:
-                overlap = len(single.intersection(cand))
-                for ch, n in repeated:
-                    count = cand.count(ch)
-                    overlap += count if count < n else n  # min() costs a call per character
-                overlaps.append(overlap)
-            return overlaps
-        lanes = 0
-        for ch, n in tcounter.items():
-            column = self.columns.get((ch, clen))
-            if column is None:
-                column = self.columns[ch, clen] = bytes(map(str.count, group, repeat(ch)))
-            lanes += int.from_bytes(column.translate(_cap(n)), "little")
-        return lanes.to_bytes(hi - lo, "little")
+        overlaps = []
+        for cand in self.strings[lo:hi]:
+            overlap = len(single.intersection(cand))
+            for ch, n in repeated:
+                count = cand.count(ch)
+                overlap += count if count < n else n  # min() costs a call per character
+            overlaps.append(overlap)
+        return overlaps
 
 
 def _closest(target: str, candidates: _Candidates, threshold: float) -> tuple[str | None, float]:
@@ -253,7 +211,7 @@ def _closest(target: str, candidates: _Candidates, threshold: float) -> tuple[st
         if bound < floor:
             break
         lo, hi = candidates.groups[clen]
-        group_overlaps = candidates.overlaps(tcounter, single, repeated, clen)
+        group_overlaps = candidates.overlaps(single, repeated, clen)
         total = tlen + clen
         if 2.0 * max(group_overlaps) / total < floor:
             continue

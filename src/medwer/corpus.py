@@ -230,19 +230,10 @@ def _dump_json(value, indent: int = 0) -> str:
             return "{}"
         items = [f"{inner}{json.dumps(str(k))}: {_dump_json(v, indent + 1)}" for k, v in value.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = [f"{inner}{_dump_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return _format_float(value)
     if isinstance(value, int):
         return str(value)
-    if value is None:
-        return "null"
     return json.dumps(value)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import write_jsonl
-from medwer._oracles import _sample_dict, reference_sample_json
+from medwer._oracles import reference_sample_json
 from medwer.align import EntityCategory
 from medwer.corpus import (AnnotationError, ManifestError, TranscriptPair, _corpus_dict, _dump_json,
                            _sample_json, load_annotations, load_manifest, render_json, render_table,
@@ -281,7 +281,8 @@ _sample_metrics = st.builds(
 
 
 def _generic_render_json(corpus, per_sample, config, groups):
-    """render_json with every row dict-built and rendered by the generic writer."""
+    """render_json with every block dict-built and rendered by the generic
+    writer, and each per_sample row by _oracles.reference_sample_json."""
     doc = {}
     if config is not None:
         doc["config"] = {"threshold": float(config["threshold"]), "max_ngram": int(config["max_ngram"]),
@@ -289,9 +290,11 @@ def _generic_render_json(corpus, per_sample, config, groups):
     doc["corpus"] = _corpus_dict(corpus)
     if groups:
         doc["groups"] = {key: _corpus_dict(groups[key]) for key in sorted(groups)}
-    if per_sample is not None:
-        doc["per_sample"] = [_sample_dict(s) for s in per_sample]
-    return _dump_json(doc) + "\n"
+    text = _dump_json(doc)
+    if per_sample is not None:  # "per_sample" goes last, before the closing "\n}"
+        rows = ",\n".join(map(reference_sample_json, per_sample))
+        text = text[:-2] + (f',\n  "per_sample": [\n{rows}\n  ]\n}}' if per_sample else ',\n  "per_sample": []\n}')
+    return text + "\n"
 
 
 @given(_sample_metrics)
