@@ -5,7 +5,6 @@ self-check failure.
 """
 
 import argparse
-import json
 import logging
 import sys
 
@@ -48,7 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--strict", action="store_true",
                         help="escalate skippable annotation problems to errors")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker processes for per-sample scoring (default 1)")
+                        help="processes that score contiguous ranges of the samples, at most "
+                             "one per usable CPU; this process scores the first range and "
+                             "POSIX-forks one child per other range, and the run is serial "
+                             "where there is no fork. Results do not depend on it (default 1)")
     common.add_argument("--out", default=None, help="output path (default stdout)")
 
     evaluate = sub.add_parser("evaluate", parents=[common],
@@ -104,8 +106,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_align(cfg: RunConfig) -> int:
     pairs, annotations = _load_corpus(cfg)
-    records = align_corpus(pairs, annotations, cfg)
-    lines = "".join(json.dumps(record) + "\n" for record in records)
+    lines = align_corpus(pairs, annotations, cfg)
     if cfg.out is None:
         sys.stdout.write(lines)
     else:

@@ -104,11 +104,14 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> EditCounts:
     and of VN_j when it is -1. Each column follows from the previous one in a
     constant number of operations on n-bit ints, using the mask of the
     positions of hyp[j-1] in ref; the horizontal delta into row 0 is always
-    +1 because D[0][j] == j. The backtrace then reads any cell exactly as
+    +1 because D[0][j] == j. Any cell can be read back exactly as
     D[i][j] = j + popcount(VP_j & (2^i - 1)) - popcount(VN_j & (2^i - 1)),
-    so it makes the same choices, and yields the same split, as a walk over
-    the full table. Elements must be hashable. Memory is the m+1 column pairs,
-    about 2*m*n/8 bytes, instead of (n+1)*(m+1) ints.
+    and each vertical step D[i][j] - D[i-1][j] is one bit of VP_j and VN_j.
+    The backtrace carries the current cell and its diagonal neighbour, pays a
+    popcount pair only when it enters a column, and so makes the same
+    choices, and yields the same split, as a walk over the full table.
+    Elements must be hashable. Memory is the m+1 column pairs, about
+    2*m*n/8 bytes, instead of (n+1)*(m+1) ints.
     """
     ref_len = len(ref)
     n, m = len(ref), len(hyp)
@@ -143,29 +146,38 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> EditCounts:
         vps.append(vp)
         vns.append(vn)
 
-    def cell(i: int, j: int) -> int:
-        low = (1 << i) - 1
-        return j + (vps[j] & low).bit_count() - (vns[j] & low).bit_count()
-
+    # cur = D[i][j] and diag = D[i-1][j-1]; once i or j is 0, only deletions
+    # or insertions remain.
     subs = ins = dels = 0
     i, j = n, m
-    while i > 0 or j > 0:
-        cur = cell(i, j)
-        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and cell(i - 1, j - 1) == cur:
-            hits += 1
-            i -= 1
+    cur = m + vps[m].bit_count() - vns[m].bit_count()
+    while i > 0 and j > 0:
+        vp, vn, column_vp, hyp_item = vps[j - 1], vns[j - 1], vps[j], hyp[j - 1]
+        low = (1 << (i - 1)) - 1
+        diag = j - 1 + (vp & low).bit_count() - (vn & low).bit_count()
+        while i > 0:
+            row = i - 1
+            if diag == cur and ref[row] == hyp_item:
+                hits += 1
+            elif diag + 1 == cur:
+                subs += 1
+            elif column_vp >> row & 1:  # D[i-1][j] == cur - 1
+                dels += 1
+                cur -= 1
+                i = row
+                if i:
+                    diag -= (vp >> (i - 1) & 1) - (vn >> (i - 1) & 1)
+                continue
+            else:
+                ins += 1
+                cur = diag + (vp >> row & 1) - (vn >> row & 1)
+                j -= 1
+                break
+            cur = diag
+            i = row
             j -= 1
-        elif i > 0 and j > 0 and cell(i - 1, j - 1) + 1 == cur:
-            subs += 1
-            i -= 1
-            j -= 1
-        elif i > 0 and cell(i - 1, j) + 1 == cur:
-            dels += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return EditCounts(subs, ins, dels, hits, ref_len)
+            break
+    return EditCounts(subs, ins + j, dels + i, hits, ref_len)
 
 
 def wer(reference: str | TokenSequence, hypothesis: str | TokenSequence,

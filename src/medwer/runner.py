@@ -1,15 +1,22 @@
 """End-to-end evaluation: alignment and metrics per sample, then aggregation.
 
-Per-sample work is pure, so samples can be scored by a worker pool; results
-are reduced in manifest order and every count is an integer sum, which makes
-the report independent of the worker count.
+Per-sample work is pure. With N workers the ordered samples are cut into N
+contiguous ranges, at most one per sample and per usable CPU. The process
+POSIX-forks one child for every range after the first, scores the first
+range itself, then reads each child's finished output from a pipe in range
+order: the JSON lines of its records for `align`, its SampleMetrics for
+`evaluate`. Children inherit the loaded corpus, so nothing is sent to them,
+and each leaves only through os._exit. Where the platform has no fork the
+run is serial. Results are joined in range order and every count is an
+integer sum, so the output does not depend on the worker count.
 """
 
+import json
 import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable
 
 from .align import DEFAULT_THRESHOLD, AlignedEntity, med_text_align, shared_span_count
 from .corpus import REPORT_FORMATS, AnnotationSet, TranscriptPair
@@ -53,6 +60,8 @@ class RunConfig:
         unknown = set(self.group_by) - set(GROUP_KEYS)
         if unknown:
             raise ValueError(f"unknown group-by key(s) {sorted(unknown)}; expected a subset of {GROUP_KEYS}")
+        if len(set(self.group_by)) < len(self.group_by):
+            raise ValueError(f"repeated group-by key in {','.join(self.group_by)}")
         if self.fmt == "csv" and self.group_by:
             raise ValueError("csv reports have no group rows; use json or table with group-by")
         if self.fmt == "table" and self.per_sample:
@@ -63,45 +72,112 @@ class RunConfig:
                 "normalization": self.normalization}
 
 
-def _eval_task(task) -> tuple[list[AlignedEntity], SampleMetrics | None]:
-    """Score one sample; the unit of work of the pool.
+def _eval_task(pair: TranscriptPair, annotations: dict[str, AnnotationSet], cfg: RunConfig,
+               scored: bool) -> tuple[list[AlignedEntity], SampleMetrics | None]:
+    """Score one sample; the unit of work of every shard.
 
     The hypothesis is tokenized once, for the alignment and for WER. The
-    metrics are computed only when the task asks for them, so alignment
-    runs pay for none of them.
+    metrics are computed only when asked for, so alignment runs pay for none
+    of them.
     """
-    pair, entities, threshold, max_n, mode, scored = task
-    hypothesis = tokenize(pair.hypothesis, mode)
-    aligned = med_text_align(list(entities), hypothesis, threshold, max_n, mode)
+    entities = annotations[pair.id].entities if pair.id in annotations else ()
+    hypothesis = tokenize(pair.hypothesis, cfg.normalization)
+    aligned = med_text_align(list(entities), hypothesis, cfg.threshold, cfg.max_ngram,
+                             cfg.normalization)
     if not scored:
         return aligned, None
     return aligned, SampleMetrics(
         sample_id=pair.id,
-        wer=wer(pair.reference, hypothesis, mode),
+        wer=wer(pair.reference, hypothesis, cfg.normalization),
         mwer=medical_wer(aligned),
         mcer=medical_cer(aligned),
         recall=entity_recall(aligned),
     )
 
 
-def _run_tasks(pairs: list[TranscriptPair], annotations: dict[str, AnnotationSet], cfg: RunConfig,
-               scored: bool) -> Iterator[tuple[list[AlignedEntity], SampleMetrics | None]]:
-    """_eval_task over the pairs, yielded in order, serially or on a pool of
-    at most one process per sample and per core.
+def _evaluate_range(pairs, annotations, cfg) -> tuple[list[SampleMetrics], int]:
+    """The metrics of each pair, and how many entities share a span with another."""
+    samples = []
+    shared = 0
+    for pair in pairs:
+        aligned, sample = _eval_task(pair, annotations, cfg, True)
+        samples.append(sample)
+        shared += shared_span_count(aligned)
+    return samples, shared
 
-    Results stream so that each alignment can be dropped once consumed.
+
+def _align_range(pairs, annotations, cfg) -> str:
+    """The alignment records of each pair, as JSON lines."""
+    return "".join(json.dumps(_record(pair.id, ae)) + "\n" for pair in pairs
+                   for ae in _eval_task(pair, annotations, cfg, False)[0])
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: os.cpu_count() also counts those that a
+    taskset or cpuset excludes, so the affinity mask comes first."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_shards(score: Callable, pairs: list[TranscriptPair], annotations: dict[str, AnnotationSet],
+                cfg: RunConfig) -> list:
+    """score(range, annotations, cfg) for contiguous ranges of the pairs, in order.
+
+    There is one range per worker, clamped to the pairs and the usable CPUs.
+    This process forks a child for every range after the first, scores the
+    first itself, then reads each child's pickled result from its pipe in
+    order and reaps that child. A child's exception re-raises here; on any
+    failure every child not yet reaped is killed and reaped before the raise.
     """
-    tasks = [(pair, annotations[pair.id].entities if pair.id in annotations else (),
-              cfg.threshold, cfg.max_ngram, cfg.normalization, scored) for pair in pairs]
-    workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing  # only a pool run pays for the import
+    shards = min(cfg.workers, len(pairs), _usable_cpus())
+    if shards < 2 or not hasattr(os, "fork"):
+        return [score(pairs, annotations, cfg)]
+    import pickle
+    import signal
 
-        chunksize = max(1, len(tasks) // (workers * 4))
-        with multiprocessing.Pool(workers) as pool:
-            yield from pool.imap(_eval_task, tasks, chunksize=chunksize)
-    else:
-        yield from map(_eval_task, tasks)
+    bounds = [len(pairs) * k // shards for k in range(shards + 1)]
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # The child leaves only through os._exit, so no atexit handler
+                # runs and no output the parent had buffered is flushed twice.
+                code = 1
+                try:
+                    try:
+                        result = (True, score(pairs[lo:hi], annotations, cfg))
+                    except BaseException as exc:  # the parent re-raises it
+                        result = (False, exc)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        results = [score(pairs[:bounds[1]], annotations, cfg)]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if not payload:
+                raise ChildProcessError(f"shard process {pid} exited with code "
+                                        f"{os.waitstatus_to_exitcode(status)} and sent no result")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def evaluate_corpus(pairs: list[TranscriptPair], annotations: dict[str, AnnotationSet],
@@ -113,9 +189,9 @@ def evaluate_corpus(pairs: list[TranscriptPair], annotations: dict[str, Annotati
     """
     samples = []
     reused = 0
-    for aligned, sample in _run_tasks(pairs, annotations, cfg, scored=True):
-        samples.append(sample)
-        reused += shared_span_count(aligned)
+    for shard_samples, shard_reused in _run_shards(_evaluate_range, pairs, annotations, cfg):
+        samples += shard_samples
+        reused += shard_reused
     if reused:
         log.info("%d entities aligned to a hypothesis span shared with another entity", reused)
 
@@ -130,11 +206,10 @@ def evaluate_corpus(pairs: list[TranscriptPair], annotations: dict[str, Annotati
 
 
 def align_corpus(pairs: list[TranscriptPair], annotations: dict[str, AnnotationSet],
-                 cfg: RunConfig) -> list[dict]:
-    """Per-entity alignment records, ordered by (sample id, entity begin)."""
+                 cfg: RunConfig) -> str:
+    """Per-entity alignment records as JSON lines, ordered by (sample id, entity begin)."""
     ordered = sorted(pairs, key=lambda p: p.id)
-    results = _run_tasks(ordered, annotations, cfg, scored=False)
-    return [_record(pair.id, ae) for pair, (aligned, _) in zip(ordered, results) for ae in aligned]
+    return "".join(_run_shards(_align_range, ordered, annotations, cfg))
 
 
 def _record(sample_id: str, ae: AlignedEntity) -> dict:

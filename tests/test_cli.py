@@ -221,6 +221,16 @@ def test_report_section_the_format_cannot_hold_is_a_usage_error(golden_files, tm
     assert not out.exists()
 
 
+def test_repeated_group_by_key_is_a_usage_error(golden_files, tmp_path, capsys):
+    manifest, annotations = golden_files
+    out = tmp_path / "report"
+    code = cli.main(["evaluate", "--manifest", str(manifest), "--annotations", str(annotations),
+                     "--out", str(out), "--format", "table", "--group-by", "model,model"])
+    assert code == cli.EXIT_USAGE
+    assert "model" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_flag_is_a_usage_error(capsys):
     assert cli.main(["evaluate", "--manifest", "m"]) == cli.EXIT_USAGE
 
@@ -244,6 +254,20 @@ def test_importing_the_cli_loads_neither_the_selfcheck_nor_the_pool():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", [["align"], ["evaluate", "--per-sample"]], ids=["align", "evaluate"])
+@pytest.mark.parametrize("workers, unused", [(1, ("multiprocessing", "pickle")), (2, ("multiprocessing",))])
+def test_a_run_imports_no_module_its_worker_count_does_not_use(golden_files, tmp_path, command,
+                                                               workers, unused):
+    manifest, annotations = golden_files
+    argv = [command[0], "--manifest", str(manifest), "--annotations", str(annotations),
+            "--workers", str(workers), "--out", str(tmp_path / "out"), *command[1:]]
+    code = f"import sys; from medwer import cli; print(cli.main({argv!r}), [m for m in {unused!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(medwer.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "0 []"
 
 
 def test_selfcheck_passes_on_pristine_build(capsys):

@@ -1,12 +1,39 @@
-import multiprocessing
+import json
 import os
 
 import pytest
 
+from helpers import dump_corpus
+from medwer import cli, runner
 from medwer.align import EntityCategory
 from medwer.fixtures import load_golden, synthetic_corpus
 from medwer.metrics import aggregate
 from medwer.runner import RunConfig, align_corpus, evaluate_corpus
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="shards are POSIX forks")
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids of the children os.fork starts. Each child is let finish
+    before fork returns in the parent, so at most two processes run at once
+    whatever the worker count; its result must fit the pipe buffer."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -20,6 +47,8 @@ from medwer.runner import RunConfig, align_corpus, evaluate_corpus
     # csv reports have no group rows and table reports no per-sample rows
     {"fmt": "csv", "group_by": ("model",)},
     {"fmt": "table", "per_sample": True},
+    # a repeated key would label every group row twice over
+    {"group_by": ("model", "model")},
 ])
 def test_run_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -65,7 +94,8 @@ def test_grouping_partitions_the_corpus():
     assert list(groups) == sorted(groups)
 
 
-def test_worker_count_does_not_change_results():
+@needs_fork
+def test_worker_count_does_not_change_results(forks):
     pairs, annotations = synthetic_corpus(12, seed=9, tokens_per_sample=12)
     serial, samples_serial, _ = evaluate_corpus(pairs, annotations, RunConfig(workers=1))
     pooled, samples_pooled, _ = evaluate_corpus(pairs, annotations, RunConfig(workers=3))
@@ -84,7 +114,7 @@ def test_evaluate_sample_shape():
 
 def test_align_corpus_ordering_and_content():
     pairs, annotations = load_golden()
-    records = align_corpus(pairs, annotations, RunConfig())
+    records = [json.loads(line) for line in align_corpus(pairs, annotations, RunConfig()).splitlines()]
     keys = [(r["id"], r["entity"]["begin"]) for r in records]
     assert keys == sorted(keys)
     t2r1 = [r for r in records if r["id"] == "t2r1"]
@@ -93,35 +123,102 @@ def test_align_corpus_ordering_and_content():
     assert all(r["candidate"] is None and r["score"] == 0.0 for r in empty)
 
 
-class _RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size, runs tasks inline."""
-
-    sizes: list = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, fn, tasks, chunksize=1):
-        return map(fn, tasks)
+@needs_fork
+@pytest.mark.parametrize("run", [evaluate_corpus, align_corpus])
+@pytest.mark.parametrize("cpus, n_samples, processes", [
+    (3, 5, 3),      # clamped to the usable CPUs
+    (8, 5, 5),      # clamped to the samples
+    (None, 5, None),  # unknown CPU count: no fork at all
+])
+def test_worker_count_is_clamped(monkeypatch, forks, run, cpus, n_samples, processes):
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None if cpus is None else 64)
+    pairs, annotations = synthetic_corpus(n_samples, seed=4, tokens_per_sample=8)
+    sharded = run(pairs, annotations, RunConfig(workers=10000))
+    assert len(forks) == (processes or 1) - 1
+    assert sharded == run(pairs, annotations, RunConfig(workers=1))
 
 
 @pytest.mark.parametrize("run", [evaluate_corpus, align_corpus])
-@pytest.mark.parametrize("cpus, n_samples, pool_size", [
-    (3, 5, 3),      # clamped to the cores
-    (8, 5, 5),      # clamped to the tasks
-    (None, 5, None),  # unknown core count: one worker, so no pool at all
-])
-def test_worker_count_is_clamped(monkeypatch, run, cpus, n_samples, pool_size):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    pairs, annotations = synthetic_corpus(n_samples, seed=4, tokens_per_sample=8)
-    pooled = run(pairs, annotations, RunConfig(workers=10000))
-    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
-    assert pooled == run(pairs, annotations, RunConfig(workers=1))
+def test_workers_are_clamped_to_the_cpus_this_process_may_run_on(monkeypatch, run):
+    # `taskset -c 0`: os.cpu_count() still counts every CPU of the machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise AssertionError("forked on a process that may use one CPU")
+
+    monkeypatch.setattr(os, "fork", fork)
+    pairs, annotations = synthetic_corpus(5, seed=4, tokens_per_sample=8)
+    assert run(pairs, annotations, RunConfig(workers=4)) == run(pairs, annotations, RunConfig(workers=1))
+    assert forks == []
+
+
+def test_without_fork_the_run_is_serial(monkeypatch):
+    two_cpus(monkeypatch)
+    monkeypatch.delattr(os, "fork", raising=False)
+    pairs, annotations = synthetic_corpus(6, seed=4, tokens_per_sample=8)
+    assert (align_corpus(pairs, annotations, RunConfig(workers=2))
+            == align_corpus(pairs, annotations, RunConfig(workers=1)))
+
+
+CLI_RUNS = {
+    "align": ["align"],
+    "per-sample-json": ["evaluate", "--per-sample"],
+    "grouped-json": ["evaluate", "--group-by", "model,accent"],
+    "csv": ["evaluate", "--format", "csv", "--per-sample"],
+    "table": ["evaluate", "--format", "table", "--group-by", "model,accent"],
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("corpus", ["golden", "synthetic"])
+@pytest.mark.parametrize("command", CLI_RUNS.values(), ids=CLI_RUNS.keys())
+def test_cli_output_does_not_depend_on_the_worker_count(monkeypatch, tmp_path, corpus, command):
+    two_cpus(monkeypatch)
+    pairs, annotations = load_golden() if corpus == "golden" else synthetic_corpus(
+        40, seed=11, tokens_per_sample=16)
+    manifest, annotation_path = dump_corpus(tmp_path, pairs, annotations)
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        assert cli.main([command[0], "--manifest", str(manifest), "--annotations", str(annotation_path),
+                         "--workers", str(workers), "--out", str(out), *command[1:]]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+class ShardFailure(Exception):
+    pass
+
+
+@needs_fork
+@pytest.mark.parametrize("run, order", [
+    (evaluate_corpus, lambda pairs: pairs),
+    (align_corpus, lambda pairs: sorted(pairs, key=lambda p: p.id)),
+], ids=["evaluate", "align"])
+@pytest.mark.parametrize("shard", ["parent", "child"])
+def test_a_failing_range_re_raises_after_every_child_is_reaped(monkeypatch, run, order, shard):
+    two_cpus(monkeypatch)
+    pairs, annotations = load_golden()
+    ordered = order(pairs)
+    half = len(ordered) // 2
+    bad = (ordered[:half] if shard == "parent" else ordered[half:])[0].id
+    bad_entity = annotations[bad].entities[0]
+    real_align = runner.med_text_align
+
+    def failing_align(entities, *args):
+        if any(e is bad_entity for e in entities):
+            raise ShardFailure(bad)
+        return real_align(entities, *args)
+
+    monkeypatch.setattr(runner, "med_text_align", failing_align)
+    with pytest.raises(ShardFailure, match=bad):
+        run(pairs, annotations, RunConfig(workers=2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
