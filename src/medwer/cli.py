@@ -92,7 +92,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 def _load_corpus(cfg: RunConfig):
     pairs = load_manifest(cfg.manifest)
-    return pairs, load_annotations(cfg.annotations, pairs, strict=cfg.strict)
+    return pairs, load_annotations(cfg.annotations, pairs, strict=cfg.strict, normalization=cfg.normalization)
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:

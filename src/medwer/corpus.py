@@ -148,7 +148,8 @@ def load_manifest(path) -> list[TranscriptPair]:
     return pairs
 
 
-def _parse_entity(raw: dict, reference: str, record_id: str, where: str) -> EntityAnnotation:
+def _parse_entity(raw: dict, reference: str, record_id: str, where: str,
+                  normalization: str) -> EntityAnnotation:
     if not isinstance(raw, dict):
         raise AnnotationError(f"{where}: each entity must be an object, got {type(raw).__name__}")
     text = _require(raw, "text", where, AnnotationError)
@@ -169,7 +170,7 @@ def _parse_entity(raw: dict, reference: str, record_id: str, where: str) -> Enti
     if actual != text:
         raise AnnotationError(f"{where}: offset mismatch for id {record_id!r}: reference[{begin}:{end}] "
                               f"is {actual!r} but annotation says {text!r}")
-    if not normalize(text):
+    if not normalize(text, normalization):
         raise AnnotationError(f"{where}: entity {text!r} for id {record_id!r} normalizes to nothing")
     score = raw.get("score")
     if score is not None:
@@ -178,12 +179,14 @@ def _parse_entity(raw: dict, reference: str, record_id: str, where: str) -> Enti
     return EntityAnnotation(text=text, category=category, begin=begin, end=end)
 
 
-def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False) -> dict[str, AnnotationSet]:
+def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False,
+                     normalization: str = "standard") -> dict[str, AnnotationSet]:
     """Read entity annotations and validate them against the manifest.
 
     Annotations for ids absent from the manifest are skipped with a warning;
     under strict mode they are rejected, and so is a manifest id with no
-    annotation record. Offset or category problems are always errors.
+    annotation record. Offset or category problems are always errors, and so
+    is an entity that normalizes to nothing under the run's normalization.
     """
     references = {p.id: p.reference for p in manifest}
     out: dict[str, AnnotationSet] = {}
@@ -202,7 +205,8 @@ def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False)
             raise AnnotationError(f"{where}: duplicate annotation for id {record_id!r}")
         if not isinstance(raw_entities, list):
             raise AnnotationError(f"{where}: 'entities' must be a list")
-        entities = [_parse_entity(raw, references[record_id], record_id, where) for raw in raw_entities]
+        entities = [_parse_entity(raw, references[record_id], record_id, where, normalization)
+                    for raw in raw_entities]
         entities.sort(key=lambda e: (e.begin, e.end))
         out[record_id] = AnnotationSet(record_id, tuple(entities))
     if strict:

@@ -27,6 +27,7 @@ from .textnorm import DEFAULT_MAX_NGRAM, NORMALIZATION_MODES, tokenize
 log = logging.getLogger(__name__)
 
 GROUP_KEYS = ("model", "accent", "domain")
+_QUOTE_TRIGGERS = frozenset(',="')
 
 
 @dataclass
@@ -197,12 +198,19 @@ def evaluate_corpus(pairs: list[TranscriptPair], annotations: dict[str, Annotati
 
     groups: dict[str, CorpusMetrics] = {}
     if cfg.group_by:
-        buckets: dict[str, list[SampleMetrics]] = {}
+        buckets: dict[tuple[str, ...], list[SampleMetrics]] = {}
         for pair, sample in zip(pairs, samples):
-            key = ",".join(f"{k}={getattr(pair, k) or ''}" for k in cfg.group_by)
-            buckets.setdefault(key, []).append(sample)
-        groups = {key: aggregate(buckets[key]) for key in sorted(buckets)}
+            buckets.setdefault(tuple(getattr(pair, k) or "" for k in cfg.group_by), []).append(sample)
+        labels = {_group_label(cfg.group_by, values): values for values in buckets}
+        groups = {label: aggregate(buckets[labels[label]]) for label in sorted(labels)}
     return aggregate(samples), samples, groups
+
+
+def _group_label(keys: tuple[str, ...], values: tuple[str, ...]) -> str:
+    """key=value pairs joined by commas; a value holding a comma, an equals sign or a
+    double quote is a JSON string literal, so distinct groups get distinct labels."""
+    shown = (json.dumps(v, ensure_ascii=False) if _QUOTE_TRIGGERS.intersection(v) else v for v in values)
+    return ",".join(f"{key}={value}" for key, value in zip(keys, shown))
 
 
 def align_corpus(pairs: list[TranscriptPair], annotations: dict[str, AnnotationSet],

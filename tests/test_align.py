@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import annotated_sample
+from medwer import align
 from medwer._oracles import oracle_align, reference_normalize
 from medwer.align import (EntityAnnotation, EntityCategory, _Candidates, ground_truth_sequence,
                           med_text_align, recovered_sequence, shared_span_count)
@@ -44,6 +45,20 @@ def test_verbatim_entity_scores_one():
     aligned = med_text_align([_entity("paralysis", 0)], "they observed paralysis on exam")
     assert aligned[0].score == 1.0
     assert aligned[0].exact
+
+
+def test_scores_through_the_module_level_similarity_ratio(monkeypatch):
+    # profilers rebind align.similarity_ratio to count the full ratio calls
+    calls = []
+
+    def counted(entity, candidate):
+        calls.append((entity, candidate))
+        return similarity_ratio(entity, candidate)
+
+    monkeypatch.setattr(align, "similarity_ratio", counted)
+    aligned = med_text_align([_entity("quinidine", 0)], "take quinidan daily")
+    assert aligned[0].candidate.normalized == "quinidan"
+    assert ("quinidine", "quinidan") in calls
 
 
 def test_empty_hypothesis_leaves_everything_unmatched():

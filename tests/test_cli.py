@@ -135,6 +135,23 @@ def test_unknown_category_exits_two(tmp_path, capsys):
     assert "DOSAGE_FORM" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("normalization, code", [("raw", cli.EXIT_OK), ("standard", cli.EXIT_INGESTION)])
+def test_an_entity_is_checked_under_the_run_normalization(tmp_path, capsys, normalization, code):
+    # "-" is a token under raw normalization and nothing under standard
+    manifest = write_jsonl(tmp_path / "m.jsonl", [
+        {"id": "s1", "reference": "dose 5 - 10 mg", "hypothesis": "dose 5 - 10 mg"}])
+    annotations = write_jsonl(tmp_path / "a.jsonl", [
+        {"id": "s1", "entities": [{"text": "-", "category": "MED", "begin": 7, "end": 8}]}])
+    assert cli.main(["align", "--manifest", str(manifest), "--annotations", str(annotations),
+                     "--normalization", normalization]) == code
+    out, err = capsys.readouterr()
+    if code == cli.EXIT_OK:
+        record = json.loads(out)
+        assert (record["candidate"]["normalized"], record["exact"]) == ("-", True)
+    else:
+        assert "normalizes to nothing" in err
+
+
 @pytest.mark.parametrize("record", [{"id": ["a"], "entities": []},
                                     {"id": "s1", "entities": ["context"]}])
 def test_hostile_annotation_record_exits_two(tmp_path, capsys, record):

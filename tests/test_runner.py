@@ -6,6 +6,7 @@ import pytest
 from helpers import dump_corpus
 from medwer import cli, runner
 from medwer.align import EntityCategory
+from medwer.corpus import TranscriptPair
 from medwer.fixtures import load_golden, synthetic_corpus
 from medwer.metrics import aggregate
 from medwer.runner import RunConfig, align_corpus, evaluate_corpus
@@ -92,6 +93,15 @@ def test_grouping_partitions_the_corpus():
     assert sum(g.wer.errors for g in groups.values()) == corpus.wer.errors
     assert all("model=" in key and "accent=" in key for key in groups)
     assert list(groups) == sorted(groups)
+
+
+def test_group_values_holding_separators_keep_their_groups_apart():
+    # joined bare, both samples would be labelled model=x,accent=y,accent=
+    pairs = [TranscriptPair("s1", "dose", "dose", model="x,accent=y"),
+             TranscriptPair("s2", "dose", "dose", accent="y,accent=", model="x")]
+    _, _, groups = evaluate_corpus(pairs, {}, RunConfig(group_by=("model", "accent")))
+    assert {key: g.samples for key, g in groups.items()} == {
+        'model="x,accent=y",accent=': 1, 'model=x,accent="y,accent="': 1}
 
 
 @needs_fork
