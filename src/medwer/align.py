@@ -6,21 +6,22 @@ ratio and takes the best candidate at or above the cutoff threshold; ties go
 to the higher score, then fewer tokens, then the earlier start. Candidates
 may be reused across entities; no mutual-exclusion is enforced.
 
-The search runs over the distinct normalized candidate strings of the
-sample, each kept with its first (token count, start). Deduplication keeps
-the tie-break: equal strings score equally, and since a normalized token
-never contains a space, equal strings also have equal token counts, so the
-earliest start is the one that wins among them. An entity whose normalized
-text is one of those strings takes it with score 1.0 by lookup: only an
-identical string scores 1.0. Every other entity scans the candidates
-grouped by length, in decreasing order of the length bound
-2*min(t, c)/(t + c) on the ratio, and stops at the first group whose bound
-is below the threshold or the best score found so far. Inside a group the
-character-count bound 2*overlap/(t + c), with overlap the size of the
-multiset intersection of the two strings' characters, screens each
-candidate; those that pass are scored with the full ratio highest bound
-first. Both bounds are true upper bounds (difflib's real_quick_ratio and
-quick_ratio), so the scan order and the early stop change no result.
+The search runs over textnorm.ngrams of the hypothesis: the distinct
+normalized candidate strings of the sample, each kept with its first
+(token count, start). Deduplication keeps the tie-break: equal strings
+score equally, and since a normalized token never contains a space, equal
+strings also have equal token counts, so the earliest start is the one
+that wins among them. An entity whose normalized text is one of those
+strings takes it with score 1.0 by lookup: only an identical string scores
+1.0. Every other entity scans the candidates grouped by length, in
+decreasing order of the length bound 2*min(t, c)/(t + c) on the ratio, and
+stops at the first group whose bound is below the threshold or the best
+score found so far. Inside a group the character-count bound
+2*overlap/(t + c), with overlap the size of the multiset intersection of
+the two strings' characters, screens each candidate; those that pass are
+scored with the full ratio highest bound first. Both bounds are true upper
+bounds (difflib's real_quick_ratio and quick_ratio), so the scan order and
+the early stop change no result.
 
 The character overlaps of a target with a length group are counted string
 by string, from the target's characters that occur once and the counts of
@@ -39,10 +40,7 @@ from enum import Enum
 from heapq import heappop, heappush
 
 from .fuzzy import similarity_ratio
-from .textnorm import DEFAULT_MAX_NGRAM, CandidateSpan, TokenSequence, normalize, tokenize
-# The aligner builds distinct candidate strings instead of calling ngrams;
-# perfbench/traced.py rebinds align.ngrams, so the name stays importable here.
-from .textnorm import ngrams  # noqa: F401
+from .textnorm import DEFAULT_MAX_NGRAM, CandidateSpan, TokenSequence, ngrams, normalize, tokenize
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -98,14 +96,12 @@ def med_text_align(entities: list[EntityAnnotation], hypothesis: str | TokenSequ
     """
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
     for prev, cur in zip(entities, entities[1:]):
         if cur.begin < prev.begin:
             raise ValueError("entities must be sorted by begin offset")
 
     seq = hypothesis if isinstance(hypothesis, TokenSequence) else tokenize(hypothesis, mode)
-    first = _distinct_ngrams(seq.words, max_n)
+    first = ngrams(seq, max_n)
     candidates: _Candidates | None = None  # built for the first entity not matched exactly
     found: dict[str, tuple[str | None, float]] = {}
 
@@ -128,20 +124,6 @@ def med_text_align(entities: list[EntityAnnotation], hypothesis: str | TokenSequ
         aligned.append(AlignedEntity(entity, CandidateSpan(start, length, surface, best),
                                      score, best == target, target))
     return aligned
-
-
-def _distinct_ngrams(words: list[str], max_n: int) -> dict[str, tuple[int, int]]:
-    """Each distinct n-gram string, n <= max_n, mapped to its first
-    (length_tokens, start_token): the fewest tokens, then the earliest start."""
-    first: dict[str, tuple[int, int]] = {}
-    grams = words
-    for n in range(1, min(max_n, len(words)) + 1):
-        if n > 1:
-            grams = [f"{gram} {word}" for gram, word in zip(grams, words[n - 1:])]
-        for start, gram in enumerate(grams):
-            if gram not in first:
-                first[gram] = (n, start)
-    return first
 
 
 class _Candidates:

@@ -208,8 +208,11 @@ def evaluate_corpus(pairs: list[TranscriptPair], annotations: dict[str, Annotati
 
 def _group_label(keys: tuple[str, ...], values: tuple[str, ...]) -> str:
     """key=value pairs joined by commas; a value holding a comma, an equals sign or a
-    double quote is a JSON string literal, so distinct groups get distinct labels."""
-    shown = (json.dumps(v, ensure_ascii=False) if _QUOTE_TRIGGERS.intersection(v) else v for v in values)
+    double quote is a JSON string literal, so distinct groups get distinct labels,
+    and one that is not printable (a line break, a tab) is an ASCII-escaped one,
+    so a table row stays on one line."""
+    shown = (v if v.isprintable() and not _QUOTE_TRIGGERS.intersection(v)
+             else json.dumps(v, ensure_ascii=not v.isprintable()) for v in values)
     return ",".join(f"{key}={value}" for key, value in zip(keys, shown))
 
 

@@ -8,6 +8,9 @@ match). "raw" leaves token surfaces untouched and only splits on whitespace.
 
 A token is a chunk of str.split() whose normalized form is not empty; a
 sequence keeps the chunks and their normalized forms as two parallel lists.
+ngrams is the one candidate generator: it maps each distinct normalized
+n-gram of a sequence to where it first occurs, which is all the aligner
+needs to score a string once and rebuild its span.
 """
 
 import unicodedata
@@ -102,15 +105,23 @@ def tokenize(text: str, mode: str = "standard") -> TokenSequence:
     return TokenSequence(*_split(text, mode))
 
 
-def ngrams(seq: TokenSequence, max_n: int = DEFAULT_MAX_NGRAM) -> list[CandidateSpan]:
-    """All contiguous n-grams for n = 1..min(max_n, token count).
+def ngrams(seq: TokenSequence, max_n: int = DEFAULT_MAX_NGRAM) -> dict[str, tuple[int, int]]:
+    """Each distinct normalized n-gram, n = 1..min(max_n, token count), mapped
+    to its first (length_tokens, start_token): the fewest tokens, then the
+    earliest start.
 
-    Listed unigrams first, then bigrams, and so on, each group in start
-    order. Empty sequence gives an empty list.
+    Keys run unigrams first, then bigrams, and so on, each group in start
+    order. Empty sequence gives an empty dict.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    surfaces, words = seq.surfaces, seq.words
-    count = len(words)
-    return [CandidateSpan(start, n, " ".join(surfaces[start:start + n]), " ".join(words[start:start + n]))
-            for n in range(1, min(max_n, count) + 1) for start in range(count - n + 1)]
+    words = seq.words
+    first: dict[str, tuple[int, int]] = {}
+    grams = words
+    for n in range(1, min(max_n, len(words)) + 1):
+        if n > 1:
+            grams = [f"{gram} {word}" for gram, word in zip(grams, words[n - 1:])]
+        for start, gram in enumerate(grams):
+            if gram not in first:
+                first[gram] = (n, start)
+    return first

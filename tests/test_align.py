@@ -12,7 +12,7 @@ from medwer.align import (EntityAnnotation, EntityCategory, _Candidates, ground_
                           med_text_align, recovered_sequence, shared_span_count)
 from medwer.fixtures import load_golden
 from medwer.fuzzy import similarity_ratio
-from medwer.textnorm import normalize, tokenize
+from medwer.textnorm import ngrams, normalize, tokenize
 
 
 def _entity(text, begin, category=EntityCategory.MED):
@@ -59,6 +59,22 @@ def test_scores_through_the_module_level_similarity_ratio(monkeypatch):
     aligned = med_text_align([_entity("quinidine", 0)], "take quinidan daily")
     assert aligned[0].candidate.normalized == "quinidan"
     assert ("quinidine", "quinidan") in calls
+
+
+def test_builds_candidates_through_the_module_level_ngrams(monkeypatch):
+    # profilers rebind align.ngrams to count and time the candidate strings
+    calls = []
+
+    def counted(seq, max_n):
+        calls.append((seq.words, max_n))
+        return ngrams(seq, max_n)
+
+    monkeypatch.setattr(align, "ngrams", counted)
+    med_text_align([], "take quinidan daily")
+    med_text_align([_entity("quinidine", 0)], "take quinidan daily", max_n=2)
+    med_text_align([_entity("daily", 0)], tokenize("take quinidan daily"))
+    assert calls == [(["take", "quinidan", "daily"], 3), (["take", "quinidan", "daily"], 2),
+                     (["take", "quinidan", "daily"], 3)]
 
 
 def test_empty_hypothesis_leaves_everything_unmatched():

@@ -6,7 +6,7 @@ import pytest
 from helpers import dump_corpus
 from medwer import cli, runner
 from medwer.align import EntityCategory
-from medwer.corpus import TranscriptPair
+from medwer.corpus import TranscriptPair, render_json, render_table
 from medwer.fixtures import load_golden, synthetic_corpus
 from medwer.metrics import aggregate
 from medwer.runner import RunConfig, align_corpus, evaluate_corpus
@@ -102,6 +102,18 @@ def test_group_values_holding_separators_keep_their_groups_apart():
     _, _, groups = evaluate_corpus(pairs, {}, RunConfig(group_by=("model", "accent")))
     assert {key: g.samples for key, g in groups.items()} == {
         'model="x,accent=y",accent=': 1, 'model=x,accent="y,accent="': 1}
+
+
+@pytest.mark.parametrize("control", ["\n", "\t", "\r", "\x85", "\u2028"])
+def test_group_values_that_are_not_printable_keep_one_table_line(control):
+    # printable values keep their bytes, look-alikes of the escape included
+    values = [f"x{control}y", "x y", "x\\ny", '"x\\ny"', "ñ,x"]
+    pairs = [TranscriptPair(f"s{i}", "dose", "dose", model=value) for i, value in enumerate(values)]
+    corpus, _, groups = evaluate_corpus(pairs, {}, RunConfig(group_by=("model",)))
+    assert set(groups) == {f"model={json.dumps(values[0])}", "model=x y", "model=x\\ny",
+                           'model="\\"x\\\\ny\\""', 'model="ñ,x"'}
+    assert len(json.loads(render_json(corpus, None, None, groups))["groups"]) == len(values)
+    assert len(render_table(corpus, groups).splitlines()) == 2 + len(values)
 
 
 @needs_fork

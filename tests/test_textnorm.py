@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from medwer._oracles import reference_normalize_chunk, reference_tokens
+from medwer._oracles import oracle_candidates, reference_normalize_chunk, reference_tokens
 from medwer.textnorm import _normalize_chunk, ngrams, normalize, tokenize
 
 messy = st.text(alphabet="aAbB xyZ-'.,;!?\t\n", max_size=40)
@@ -117,16 +117,19 @@ def test_tokenize_examples():
 
 def test_ngrams_small_exhaustive():
     seq = tokenize("a b")
-    assert [c.normalized for c in ngrams(seq, 3)] == ["a", "b", "a b"]
+    assert ngrams(seq, 3) == {"a": (1, 0), "b": (1, 1), "a b": (2, 0)}
 
 
 def test_ngrams_bigram_enumeration():
-    seq = tokenize("dikod sin in")
-    assert [c.normalized for c in ngrams(seq, 2)] == ["dikod", "sin", "in", "dikod sin", "sin in"]
+    # a repeated n-gram keeps its first start
+    seq = tokenize("dikod sin in sin in")
+    assert list(ngrams(seq, 2).items()) == [
+        ("dikod", (1, 0)), ("sin", (1, 1)), ("in", (1, 2)),
+        ("dikod sin", (2, 0)), ("sin in", (2, 1)), ("in sin", (2, 2))]
 
 
 def test_ngrams_empty_sequence():
-    assert ngrams(tokenize(""), 3) == []
+    assert ngrams(tokenize(""), 3) == {}
 
 
 def test_ngrams_rejects_bad_max_n():
@@ -134,21 +137,19 @@ def test_ngrams_rejects_bad_max_n():
         ngrams(tokenize("a"), 0)
 
 
-@given(messy, st.integers(1, 4))
-def test_ngram_count_formula(text, max_n):
-    seq = tokenize(text)
-    count = len(seq)
-    expected = sum(count - k + 1 for k in range(1, min(max_n, count) + 1))
-    assert len(ngrams(seq, max_n)) == expected
+@given(messy, st.integers(1, 4), st.sampled_from(["standard", "raw"]))
+def test_ngrams_keep_the_first_occurrence_of_each_oracle_string(text, max_n, mode):
+    first = {}
+    for start, n, _, normalized in oracle_candidates(text, max_n, mode):
+        first.setdefault(normalized, (n, start))
+    assert list(ngrams(tokenize(text, mode), max_n).items()) == list(first.items())
 
 
 @given(messy, st.integers(1, 4))
 def test_ngram_reconstruction(text, max_n):
     seq = tokenize(text)
-    for span in ngrams(seq, max_n):
-        window = slice(span.start_token, span.start_token + span.length_tokens)
-        assert span.normalized == " ".join(seq.words[window])
-        assert span.surface == " ".join(seq.surfaces[window])
+    for normalized, (n, start) in ngrams(seq, max_n).items():
+        assert normalized == " ".join(seq.words[start:start + n])
 
 
 @given(st.text())
