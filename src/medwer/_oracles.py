@@ -7,9 +7,12 @@ for the similarity ratio, an all-alignments recursion and a full-table
 backtrace for edit distance, a character loop for normalization, and an
 every-candidate scan for the alignment. reference_sample_json renders a
 report row through the generic JSON writer that renders the rest of the
-report, which is the reference for the fixed per-sample row template.
+report, which is the reference for the fixed per-sample row template;
+reference_record_json writes an `align` record's dict with json.dumps, the
+reference for the fixed record template.
 """
 
+import json
 import unicodedata
 from typing import NamedTuple
 
@@ -248,3 +251,27 @@ def reference_sample_json(sample):
     """One per_sample row of a JSON report, with its indent, rendered from a
     dict by the generic writer."""
     return "    " + _dump_json(_sample_dict(sample), 2)
+
+
+def reference_record_json(sample_id, ae):
+    """One alignment record, as a JSON line rendered from a dict by json.dumps."""
+    candidate = None
+    if ae.candidate is not None:
+        candidate = {
+            "surface": ae.candidate.surface,
+            "normalized": ae.candidate.normalized,
+            "start_token": ae.candidate.start_token,
+            "length_tokens": ae.candidate.length_tokens,
+        }
+    return json.dumps({
+        "id": sample_id,
+        "entity": {
+            "text": ae.entity.text,
+            "category": ae.entity.category.value,
+            "begin": ae.entity.begin,
+            "end": ae.entity.end,
+        },
+        "candidate": candidate,
+        "score": ae.score,
+        "exact": ae.exact,
+    }) + "\n"

@@ -16,24 +16,22 @@ strings takes it with score 1.0 by lookup: only an identical string scores
 1.0. Every other entity scans the candidates grouped by length, in
 decreasing order of the length bound 2*min(t, c)/(t + c) on the ratio, and
 stops at the first group whose bound is below the threshold or the best
-score found so far. Inside a group the character-count bound
-2*overlap/(t + c), with overlap the size of the multiset intersection of
-the two strings' characters, screens each candidate; those that pass are
-scored with the full ratio highest bound first. Both bounds are true upper
-bounds (difflib's real_quick_ratio and quick_ratio), so the scan order and
-the early stop change no result.
-
-The character overlaps of a target with a length group are counted string
-by string, from the target's characters that occur once and the counts of
-those that repeat; no per-sample index is built. On the paper's shape
-(30-token utterances) 97% of the groups a target visits hold 8 strings or
-fewer, too few for an index to pay for its building, and a 2000-token
-consultation visits only 8 to 52 groups of 90 to 289 strings in all, which
-direct counting scans in milliseconds. A target that recurs in a sample
-reuses its first result.
+score found so far. The bound rises with the candidate length c up to the
+target length t and falls after it, so that order is a walk outward from t
+over the sample's sorted lengths: two pointers, one stepping down and one
+up, each step taking the side with the higher bound and the longer length
+on a tie. Only the groups the scan reaches have their bounds computed.
+Inside a group the character-count bound 2*overlap/(t + c), with overlap
+the size of the multiset intersection of the two strings' characters,
+screens each candidate; it is counted string by string, from the target's
+characters that occur once and the counts of those that repeat. Those that
+pass are scored with the full ratio highest bound first. Both bounds are
+true upper bounds (difflib's real_quick_ratio and quick_ratio), so the scan
+order and the early stop change no result. A target that recurs in a
+sample reuses its first result.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -127,30 +125,47 @@ def med_text_align(entities: list[EntityAnnotation], hypothesis: str | TokenSequ
 
 
 class _Candidates:
-    """The distinct candidate strings of one sample, ordered by length."""
+    """The distinct candidate strings of one sample, grouped by length."""
 
     def __init__(self, first: dict[str, tuple[int, int]]):
         self.first = first
-        self.strings = sorted(first, key=len)
-        lengths = list(map(len, self.strings))
-        self.groups = {n: (bisect_left(lengths, n), bisect_right(lengths, n)) for n in set(lengths)}
+        groups: dict[int, list[str]] = {}
+        for cand in first:
+            clen = len(cand)
+            if clen in groups:
+                groups[clen].append(cand)
+            else:
+                groups[clen] = [cand]
+        self.groups = groups
+        self.lengths = sorted(groups)
 
-    def overlaps(self, single: frozenset, repeated: list[tuple[str, int]], clen: int) -> list[int]:
-        """Item k is the size of the multiset intersection of the target's
-        characters and those of the k-th string of length clen. single holds
-        the target's characters that occur once and repeated the
-        (character, count) of the others: a single character adds one if the
-        string holds it, a repeated one its count in the string, capped.
-        """
-        lo, hi = self.groups[clen]
-        overlaps = []
-        for cand in self.strings[lo:hi]:
-            overlap = len(single.intersection(cand))
-            for ch, n in repeated:
-                count = cand.count(ch)
-                overlap += count if count < n else n  # min() costs a call per character
-            overlaps.append(overlap)
-        return overlaps
+
+def _outward(tlen: int, lengths: list[int]):
+    """Each (length bound, length) of lengths, which are sorted and distinct,
+    in the order of sorted(..., reverse=True): the highest bound first, the
+    longer length on a tie; then (-1.0, 0).
+
+    The bound 2*min(t, c)/(t + c) rises with c up to t and falls after it,
+    so the order is a merge of two runs that start at the target's length:
+    one walking down through the shorter lengths, one up through the longer.
+    With tlen 0 every bound is 0 and the lengths come shortest first; no
+    scan passes that first group, since the threshold is positive.
+    """
+    up = bisect_right(lengths, tlen)
+    down = up - 1
+    top = len(lengths)
+    down_bound = 2.0 * lengths[down] / (tlen + lengths[down]) if down >= 0 else -1.0
+    up_bound = 2.0 * tlen / (tlen + lengths[up]) if up < top else -1.0
+    while up < top or down >= 0:
+        if up_bound >= down_bound:
+            yield up_bound, lengths[up]
+            up += 1
+            up_bound = 2.0 * tlen / (tlen + lengths[up]) if up < top else -1.0
+        else:
+            yield down_bound, lengths[down]
+            down -= 1
+            down_bound = 2.0 * lengths[down] / (tlen + lengths[down]) if down >= 0 else -1.0
+    yield -1.0, 0
 
 
 def _closest(target: str, candidates: _Candidates, threshold: float) -> tuple[str | None, float]:
@@ -164,20 +179,20 @@ def _closest(target: str, candidates: _Candidates, threshold: float) -> tuple[st
     scored highest bound first, so the best score rises as early as it can.
     """
     tlen = len(target)
-    tcounter = Counter(target)
-    single = frozenset(ch for ch, n in tcounter.items() if n == 1)
-    repeated = [(ch, n) for ch, n in tcounter.items() if n > 1]
-    strings = candidates.strings
+    single = set(target)
+    repeated: list[tuple[str, int]] = []  # (character, count) of those that occur more than once
+    if len(single) < tlen:
+        repeated = [(ch, n) for ch in single if (n := target.count(ch)) > 1]
+        single.difference_update([ch for ch, _ in repeated])
+    groups = candidates.groups
     best: str | None = None
     best_key: tuple | None = None
     best_score = 0.0
     pending: list[tuple[float, str]] = []  # (-character bound, candidate)
-    bounds = sorted(((2.0 * min(tlen, clen) / (tlen + clen), clen) for clen in candidates.groups),
-                    reverse=True)
-    for bound, clen in [*bounds, (-1.0, 0)]:
+    for bound, clen in _outward(tlen, candidates.lengths):
         # A candidate's character bound never exceeds its length bound, so a
         # pending candidate at or above this group's bound outranks the
-        # group and every group after it; -1.0 drains the heap at the end.
+        # group and every group after it; the final -1.0 drains the heap.
         while pending and -pending[0][0] >= bound:
             neg_bound, cand = heappop(pending)
             if -neg_bound < best_score:
@@ -189,15 +204,16 @@ def _closest(target: str, candidates: _Candidates, threshold: float) -> tuple[st
             key = (-score, *candidates.first[cand])
             if best_key is None or key < best_key:
                 best, best_key, best_score = cand, key, score
-        floor = max(threshold, best_score)
+        floor = best_score if best_score > threshold else threshold
         if bound < floor:
             break
-        lo, hi = candidates.groups[clen]
-        group_overlaps = candidates.overlaps(single, repeated, clen)
         total = tlen + clen
-        if 2.0 * max(group_overlaps) / total < floor:
-            continue
-        for cand, overlap in zip(strings[lo:hi], group_overlaps):
+        for cand in groups[clen]:
+            # the size of the multiset intersection of the two strings' characters
+            overlap = len(single.intersection(cand))
+            for ch, n in repeated:
+                count = cand.count(ch)
+                overlap += count if count < n else n  # min() costs a call per character
             char_bound = 2.0 * overlap / total
             if char_bound >= floor:
                 heappush(pending, (-char_bound, cand))

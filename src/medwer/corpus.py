@@ -24,6 +24,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from .align import EntityAnnotation, EntityCategory
@@ -110,10 +111,15 @@ def _iter_jsonl(path, kind: str, err: type[IngestionError]):
             raise err(f"cannot read {kind} {path}: not UTF-8 text ({e.reason})") from e
 
 
-def _require(record: dict, key: str, where: str, err: type[IngestionError]):
-    if key not in record:
-        raise err(f"{where}: missing required field {key!r}")
-    return record[key]
+# What dict.get returns for a missing field; JSON cannot produce it.
+_MISSING = object()
+_BY_OFFSETS = attrgetter("begin", "end")
+
+
+def _missing(record: dict, keys: tuple[str, ...], where: str, err: type[IngestionError]):
+    """Raise for the first of keys that record lacks."""
+    key = next(k for k in keys if k not in record)
+    raise err(f"{where}: missing required field {key!r}")
 
 
 def load_manifest(path) -> list[TranscriptPair]:
@@ -123,60 +129,29 @@ def load_manifest(path) -> list[TranscriptPair]:
     duplicates = []
     for lineno, record in _iter_jsonl(path, "manifest", ManifestError):
         where = f"{path}:{lineno}"
-        pid = _require(record, "id", where, ManifestError)
-        reference = _require(record, "reference", where, ManifestError)
-        hypothesis = _require(record, "hypothesis", where, ManifestError)
-        if not isinstance(pid, str) or not pid:
+        # JSON yields exact types, so type() tests stand for isinstance()
+        get = record.get
+        pid, reference, hypothesis = get("id", _MISSING), get("reference", _MISSING), get("hypothesis", _MISSING)
+        if pid is _MISSING or reference is _MISSING or hypothesis is _MISSING:
+            _missing(record, ("id", "reference", "hypothesis"), where, ManifestError)
+        if type(pid) is not str or not pid:
             raise ManifestError(f"{where}: field 'id' must be a non-empty string")
-        if not isinstance(reference, str) or not reference:
+        if type(reference) is not str or not reference:
             raise ManifestError(f"{where}: field 'reference' must be a non-empty string")
-        if not isinstance(hypothesis, str):
+        if type(hypothesis) is not str:
             raise ManifestError(f"{where}: field 'hypothesis' must be a string")
-        optional = {}
-        for key in ("accent", "domain", "model"):
-            value = record.get(key)
-            if value is not None and not isinstance(value, str):
+        accent, domain, model = get("accent"), get("domain"), get("model")
+        for key, value in (("accent", accent), ("domain", domain), ("model", model)):
+            if value is not None and type(value) is not str:
                 raise ManifestError(f"{where}: field {key!r} must be a string when present")
-            optional[key] = value
         if pid in seen:
             duplicates.append(f"{pid!r} (lines {seen[pid]} and {lineno})")
         else:
             seen[pid] = lineno
-        pairs.append(TranscriptPair(pid, reference, hypothesis, **optional))
+        pairs.append(TranscriptPair(pid, reference, hypothesis, accent, domain, model))
     if duplicates:
         raise ManifestError(f"{path}: duplicate id(s): {', '.join(duplicates)}")
     return pairs
-
-
-def _parse_entity(raw: dict, reference: str, record_id: str, where: str,
-                  normalization: str) -> EntityAnnotation:
-    if not isinstance(raw, dict):
-        raise AnnotationError(f"{where}: each entity must be an object, got {type(raw).__name__}")
-    text = _require(raw, "text", where, AnnotationError)
-    label = _require(raw, "category", where, AnnotationError)
-    begin = _require(raw, "begin", where, AnnotationError)
-    end = _require(raw, "end", where, AnnotationError)
-    if not isinstance(text, str) or not isinstance(label, str):
-        raise AnnotationError(f"{where}: entity 'text' and 'category' must be strings")
-    if not isinstance(begin, int) or not isinstance(end, int) or isinstance(begin, bool) or isinstance(end, bool):
-        raise AnnotationError(f"{where}: entity offsets must be integers")
-    category = DEFAULT_CATEGORY_MAP.get(label)
-    if category is None:
-        raise AnnotationError(f"{where}: unknown category {label!r} for id {record_id!r} "
-                              f"(known: {', '.join(sorted(DEFAULT_CATEGORY_MAP))})")
-    if not (0 <= begin < end <= len(reference)):
-        raise AnnotationError(f"{where}: entity offsets [{begin}, {end}) out of range for id {record_id!r}")
-    actual = reference[begin:end]
-    if actual != text:
-        raise AnnotationError(f"{where}: offset mismatch for id {record_id!r}: reference[{begin}:{end}] "
-                              f"is {actual!r} but annotation says {text!r}")
-    if not normalize(text, normalization):
-        raise AnnotationError(f"{where}: entity {text!r} for id {record_id!r} normalizes to nothing")
-    score = raw.get("score")
-    if score is not None:
-        if not isinstance(score, (int, float)) or isinstance(score, bool) or not 0 <= score <= 1:
-            raise AnnotationError(f"{where}: entity score must be a number in [0, 1]")
-    return EntityAnnotation(text=text, category=category, begin=begin, end=end)
 
 
 def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False,
@@ -190,24 +165,61 @@ def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False,
     """
     references = {p.id: p.reference for p in manifest}
     out: dict[str, AnnotationSet] = {}
+    kept: set[str] = set()  # entity texts seen to normalize to something
     for lineno, record in _iter_jsonl(path, "annotations", AnnotationError):
         where = f"{path}:{lineno}"
-        record_id = _require(record, "id", where, AnnotationError)
-        if not isinstance(record_id, str):
+        record_id = record.get("id", _MISSING)
+        if record_id is _MISSING:
+            raise AnnotationError(f"{where}: missing required field 'id'")
+        if type(record_id) is not str:
             raise AnnotationError(f"{where}: field 'id' must be a string, got {type(record_id).__name__}")
-        raw_entities = _require(record, "entities", where, AnnotationError)
-        if record_id not in references:
+        raw_entities = record.get("entities", _MISSING)
+        if raw_entities is _MISSING:
+            raise AnnotationError(f"{where}: missing required field 'entities'")
+        reference = references.get(record_id)
+        if reference is None:
             if strict:
                 raise AnnotationError(f"{where}: annotation for unknown id {record_id!r}")
             log.warning("%s: skipping annotation for unknown id %r", where, record_id)
             continue
         if record_id in out:
             raise AnnotationError(f"{where}: duplicate annotation for id {record_id!r}")
-        if not isinstance(raw_entities, list):
+        if type(raw_entities) is not list:
             raise AnnotationError(f"{where}: 'entities' must be a list")
-        entities = [_parse_entity(raw, references[record_id], record_id, where, normalization)
-                    for raw in raw_entities]
-        entities.sort(key=lambda e: (e.begin, e.end))
+        entities = []
+        for raw in raw_entities:
+            if type(raw) is not dict:
+                raise AnnotationError(f"{where}: each entity must be an object, got {type(raw).__name__}")
+            get = raw.get
+            text, label, begin, end = get("text", _MISSING), get("category", _MISSING), \
+                get("begin", _MISSING), get("end", _MISSING)
+            if text is _MISSING or label is _MISSING or begin is _MISSING or end is _MISSING:
+                _missing(raw, ("text", "category", "begin", "end"), where, AnnotationError)
+            if type(text) is not str or type(label) is not str:
+                raise AnnotationError(f"{where}: entity 'text' and 'category' must be strings")
+            if type(begin) is not int or type(end) is not int:
+                raise AnnotationError(f"{where}: entity offsets must be integers")
+            category = DEFAULT_CATEGORY_MAP.get(label)
+            if category is None:
+                raise AnnotationError(f"{where}: unknown category {label!r} for id {record_id!r} "
+                                      f"(known: {', '.join(sorted(DEFAULT_CATEGORY_MAP))})")
+            if not 0 <= begin < end <= len(reference):
+                raise AnnotationError(f"{where}: entity offsets [{begin}, {end}) out of range "
+                                      f"for id {record_id!r}")
+            if reference[begin:end] != text:
+                raise AnnotationError(f"{where}: offset mismatch for id {record_id!r}: "
+                                      f"reference[{begin}:{end}] is {reference[begin:end]!r} "
+                                      f"but annotation says {text!r}")
+            if text not in kept:
+                if not normalize(text, normalization):
+                    raise AnnotationError(f"{where}: entity {text!r} for id {record_id!r} normalizes to nothing")
+                kept.add(text)
+            score = get("score")
+            if score is not None and (type(score) is not int and type(score) is not float
+                                      or not 0 <= score <= 1):
+                raise AnnotationError(f"{where}: entity score must be a number in [0, 1]")
+            entities.append(EntityAnnotation(text, category, begin, end))
+        entities.sort(key=_BY_OFFSETS)
         out[record_id] = AnnotationSet(record_id, tuple(entities))
     if strict:
         missing = [p.id for p in manifest if p.id not in out]

@@ -9,6 +9,10 @@ order: the JSON lines of its records for `align`, its SampleMetrics for
 and each leaves only through os._exit. Where the platform has no fork the
 run is serial. Results are joined in range order and every count is an
 integer sum, so the output does not depend on the worker count.
+
+Each `align` record is rendered from one fixed template, which tests check
+against _oracles.reference_record_json, the record's dict written by
+json.dumps.
 """
 
 import json
@@ -109,7 +113,7 @@ def _evaluate_range(pairs, annotations, cfg) -> tuple[list[SampleMetrics], int]:
 
 def _align_range(pairs, annotations, cfg) -> str:
     """The alignment records of each pair, as JSON lines."""
-    return "".join(json.dumps(_record(pair.id, ae)) + "\n" for pair in pairs
+    return "".join(_record_json(pair.id, ae) for pair in pairs
                    for ae in _eval_task(pair, annotations, cfg, False)[0])
 
 
@@ -223,24 +227,15 @@ def align_corpus(pairs: list[TranscriptPair], annotations: dict[str, AnnotationS
     return "".join(_run_shards(_align_range, ordered, annotations, cfg))
 
 
-def _record(sample_id: str, ae: AlignedEntity) -> dict:
-    candidate = None
-    if ae.candidate is not None:
-        candidate = {
-            "surface": ae.candidate.surface,
-            "normalized": ae.candidate.normalized,
-            "start_token": ae.candidate.start_token,
-            "length_tokens": ae.candidate.length_tokens,
-        }
-    return {
-        "id": sample_id,
-        "entity": {
-            "text": ae.entity.text,
-            "category": ae.entity.category.value,
-            "begin": ae.entity.begin,
-            "end": ae.entity.end,
-        },
-        "candidate": candidate,
-        "score": ae.score,
-        "exact": ae.exact,
-    }
+def _record_json(sample_id: str, ae: AlignedEntity) -> str:
+    """One alignment record as a JSON line, from a fixed template. Only the
+    strings need escaping; a score is a finite float, which json.dumps
+    writes as its repr."""
+    entity, span = ae.entity, ae.candidate
+    candidate = "null" if span is None else (
+        f'{{"surface": {json.dumps(span.surface)}, "normalized": {json.dumps(span.normalized)}, '
+        f'"start_token": {span.start_token}, "length_tokens": {span.length_tokens}}}')
+    return (f'{{"id": {json.dumps(sample_id)}, "entity": {{"text": {json.dumps(entity.text)}, '
+            f'"category": "{entity.category.value}", "begin": {entity.begin}, "end": {entity.end}}}, '
+            f'"candidate": {candidate}, "score": {ae.score!r}, '
+            f'"exact": {"true" if ae.exact else "false"}}}\n')

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import annotated_sample
 from medwer import align
 from medwer._oracles import oracle_align, reference_normalize
-from medwer.align import (EntityAnnotation, EntityCategory, _Candidates, ground_truth_sequence,
+from medwer.align import (EntityAnnotation, EntityCategory, ground_truth_sequence,
                           med_text_align, recovered_sequence, shared_span_count)
 from medwer.fixtures import load_golden
 from medwer.fuzzy import similarity_ratio
@@ -305,14 +305,44 @@ def test_large_length_groups_match_the_oracle(words, entity_text):
     _assert_matches_oracle(entity_text, " ".join(words), max_n=1 if len(entity_text) > 255 else 3)
 
 
-@pytest.mark.parametrize("clen", [6, 256])
-@pytest.mark.parametrize("size", [1, 9])
-def test_overlaps_count_the_multiset_intersection(size, clen):
-    strings = _words("abñ", size, clen, seed=size)
-    candidates = _Candidates({s: (1, i) for i, s in enumerate(strings)})
-    for target in (strings[0], "a" * clen, "ab" + "ñ" * (clen - 3), "b", "ñaab"):
-        tcounter = Counter(target)
-        single = frozenset(ch for ch, n in tcounter.items() if n == 1)
-        repeated = [(ch, n) for ch, n in tcounter.items() if n > 1]
-        got = candidates.overlaps(single, repeated, clen)
-        assert got == [sum((tcounter & Counter(s)).values()) for s in candidates.strings]
+@st.composite
+def _lengths_around(draw):
+    """A target length and sorted distinct candidate lengths, often holding
+    pairs c1 < t < c2 with c1 * c2 == t * t, whose length bounds tie."""
+    tlen = draw(st.integers(1, 12))
+    lengths = draw(st.sets(st.integers(1, 150), max_size=12))
+    divisors = [d for d in range(1, tlen) if tlen * tlen % d == 0]
+    if divisors:
+        for d in draw(st.lists(st.sampled_from(divisors), max_size=3)):
+            lengths |= {d, tlen * tlen // d}
+    return tlen, sorted(lengths)
+
+
+@given(_lengths_around())
+@example((6, [4, 9]))
+@example((6, [1, 2, 3, 4, 6, 9, 12, 18, 36]))
+@example((5, []))
+def test_outward_walk_visits_lengths_in_sorted_bound_order(case):
+    tlen, lengths = case
+    want = sorted(((2.0 * min(tlen, c) / (tlen + c), c) for c in lengths), reverse=True)
+    assert list(align._outward(tlen, lengths)) == [*want, (-1.0, 0)]
+
+
+def test_outward_walk_takes_the_longer_length_on_a_bound_tie():
+    assert list(align._outward(6, [4, 9])) == [(0.8, 9), (0.8, 4), (-1.0, 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text("abñ", min_size=1, max_size=12), st.lists(st.text("abñ", min_size=1, max_size=12), max_size=8),
+       st.sampled_from([0.5, 0.7, 0.9]))
+def test_only_candidates_past_the_character_bound_are_scored(target, words, threshold):
+    # the character bound counts the multiset intersection, repeated characters capped
+    calls = []
+    original = align.similarity_ratio
+    align.similarity_ratio = lambda a, b: calls.append((a, b)) or original(a, b)
+    try:
+        med_text_align([_entity(target, 0)], " ".join(words), threshold, max_n=2)
+    finally:
+        align.similarity_ratio = original
+    for a, b in calls:
+        assert 2.0 * sum((Counter(a) & Counter(b)).values()) / (len(a) + len(b)) >= threshold

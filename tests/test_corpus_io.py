@@ -1,5 +1,6 @@
 import codecs
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,125 @@ def test_load_annotations_rejects_entity_that_is_not_an_object(tmp_path, entity)
     path = write_jsonl(tmp_path / "a.jsonl", [{"id": "s1", "entities": [entity]}])
     with pytest.raises(AnnotationError, match=r"a\.jsonl:1.*entity must be an object"):
         load_annotations(path, manifest)
+
+
+# One malformed record each, with the whole message it must raise. Where a
+# record breaks two rules, the message shows which check comes first.
+_PAIR = {"id": "s1", "reference": "a", "hypothesis": "a"}
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"reference": "a", "hypothesis": "a"}, "missing required field 'id'"),
+    ({"id": "s1", "hypothesis": "a"}, "missing required field 'reference'"),
+    ({"id": "s1", "reference": "a"}, "missing required field 'hypothesis'"),
+    ({}, "missing required field 'id'"),
+    ({"id": 7, "reference": ""}, "missing required field 'hypothesis'"),
+    ({**_PAIR, "id": 7}, "field 'id' must be a non-empty string"),
+    ({**_PAIR, "id": ""}, "field 'id' must be a non-empty string"),
+    ({**_PAIR, "id": True, "reference": 1, "hypothesis": 2}, "field 'id' must be a non-empty string"),
+    ({**_PAIR, "reference": ["a"]}, "field 'reference' must be a non-empty string"),
+    ({**_PAIR, "reference": ""}, "field 'reference' must be a non-empty string"),
+    ({**_PAIR, "reference": "", "hypothesis": None}, "field 'reference' must be a non-empty string"),
+    ({**_PAIR, "hypothesis": None}, "field 'hypothesis' must be a string"),
+    ({**_PAIR, "hypothesis": 1.0}, "field 'hypothesis' must be a string"),
+    ({**_PAIR, "accent": 5}, "field 'accent' must be a string when present"),
+    ({**_PAIR, "domain": ["x"]}, "field 'domain' must be a string when present"),
+    ({**_PAIR, "model": True}, "field 'model' must be a string when present"),
+    ({**_PAIR, "model": 1, "accent": False}, "field 'accent' must be a string when present"),
+    ({**_PAIR, "hypothesis": 0, "accent": 5}, "field 'hypothesis' must be a string"),
+])
+def test_malformed_manifest_record_messages(tmp_path, record, message):
+    path = write_jsonl(tmp_path / "m.jsonl", [record])
+    with pytest.raises(ManifestError) as info:
+        load_manifest(path)
+    assert str(info.value) == f"{path}:1: {message}"
+
+
+_ENTITY = {"text": "digoxin", "category": "MED", "begin": 4, "end": 11}
+_KNOWN = ("ANA, ANATOMY, COND, MED, MEDICAL_CONDITION, MEDICATION, PHI, "
+          "PROTECTED_HEALTH_INFORMATION, TEST_TREATMENT_PROCEDURE, TTP")
+
+
+def _without(key):
+    return {k: v for k, v in _ENTITY.items() if k != key}
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"entities": []}, "missing required field 'id'"),
+    ({"id": "s1"}, "missing required field 'entities'"),
+    ({"id": "ghost"}, "missing required field 'entities'"),
+    ({"id": 7}, "field 'id' must be a string, got int"),
+    ({"id": 7, "entities": []}, "field 'id' must be a string, got int"),
+    ({"id": None, "entities": []}, "field 'id' must be a string, got NoneType"),
+    ({"id": "s1", "entities": {}}, "'entities' must be a list"),
+    ({"id": "s1", "entities": None}, "'entities' must be a list"),
+    ({"id": "s1", "entities": [_without("text")]}, "missing required field 'text'"),
+    ({"id": "s1", "entities": [_without("category")]}, "missing required field 'category'"),
+    ({"id": "s1", "entities": [_without("begin")]}, "missing required field 'begin'"),
+    ({"id": "s1", "entities": [_without("end")]}, "missing required field 'end'"),
+    ({"id": "s1", "entities": [{}]}, "missing required field 'text'"),
+    ({"id": "s1", "entities": [{**_without("end"), "text": 7}]}, "missing required field 'end'"),
+    ({"id": "s1", "entities": [{**_ENTITY, "begin": True}]}, "entity offsets must be integers"),
+    ({"id": "s1", "entities": [{**_ENTITY, "end": True}]}, "entity offsets must be integers"),
+    ({"id": "s1", "entities": [{**_ENTITY, "begin": 4.0}]}, "entity offsets must be integers"),
+    ({"id": "s1", "entities": [{**_ENTITY, "begin": 1.0}]}, "entity offsets must be integers"),
+    ({"id": "s1", "entities": [{**_ENTITY, "end": "11"}]}, "entity offsets must be integers"),
+    ({"id": "s1", "entities": [{**_ENTITY, "text": 7}]}, "entity 'text' and 'category' must be strings"),
+    ({"id": "s1", "entities": [{**_ENTITY, "category": None}]},
+     "entity 'text' and 'category' must be strings"),
+    ({"id": "s1", "entities": [{**_ENTITY, "text": None, "begin": True}]},
+     "entity 'text' and 'category' must be strings"),
+    ({"id": "s1", "entities": [{**_ENTITY, "category": "DOSAGE_FORM"}]},
+     f"unknown category 'DOSAGE_FORM' for id 's1' (known: {_KNOWN})"),
+    ({"id": "s1", "entities": [{**_ENTITY, "category": "med"}]},
+     f"unknown category 'med' for id 's1' (known: {_KNOWN})"),
+    ({"id": "s1", "entities": [{**_ENTITY, "category": "DOSAGE_FORM", "begin": True}]},
+     "entity offsets must be integers"),
+    ({"id": "s1", "entities": [{**_ENTITY, "category": "DOSAGE_FORM", "end": 99}]},
+     f"unknown category 'DOSAGE_FORM' for id 's1' (known: {_KNOWN})"),
+    ({"id": "s1", "entities": [{**_ENTITY, "end": 99}]}, "entity offsets [4, 99) out of range for id 's1'"),
+    ({"id": "s1", "entities": [{**_ENTITY, "begin": -1}]},
+     "entity offsets [-1, 11) out of range for id 's1'"),
+    ({"id": "s1", "entities": [{**_ENTITY, "begin": 11}]},
+     "entity offsets [11, 11) out of range for id 's1'"),
+    ({"id": "s1", "entities": [{**_ENTITY, "begin": 0, "end": 7}]},
+     "offset mismatch for id 's1': reference[0:7] is 'the dig' but annotation says 'digoxin'"),
+    ({"id": "s1", "entities": [{**_ENTITY, "begin": 0, "end": 7, "score": 2}]},
+     "offset mismatch for id 's1': reference[0:7] is 'the dig' but annotation says 'digoxin'"),
+    ({"id": "s2", "entities": [{"text": ",,", "category": "PHI", "begin": 2, "end": 4}]},
+     "entity ',,' for id 's2' normalizes to nothing"),
+    ({"id": "s2", "entities": [{"text": ",,", "category": "PHI", "begin": 2, "end": 4, "score": 2}]},
+     "entity ',,' for id 's2' normalizes to nothing"),
+    ({"id": "s1", "entities": [{**_ENTITY, "score": True}]}, "entity score must be a number in [0, 1]"),
+    ({"id": "s1", "entities": [{**_ENTITY, "score": 1.5}]}, "entity score must be a number in [0, 1]"),
+    ({"id": "s1", "entities": [{**_ENTITY, "score": math.nan}]}, "entity score must be a number in [0, 1]"),
+    ({"id": "s1", "entities": [{**_ENTITY, "score": -0.0001}]}, "entity score must be a number in [0, 1]"),
+    ({"id": "s1", "entities": [{**_ENTITY, "score": "0.5"}]}, "entity score must be a number in [0, 1]"),
+    ({"id": "s1", "entities": ["context"]}, "each entity must be an object, got str"),
+    ({"id": "s1", "entities": [_ENTITY, None]}, "each entity must be an object, got NoneType"),
+    ({"id": "s1", "entities": [[_ENTITY]]}, "each entity must be an object, got list"),
+])
+def test_malformed_annotation_record_messages(tmp_path, record, message):
+    manifest = [TranscriptPair("s1", "the digoxin level", "x"), TranscriptPair("s2", "a ,, b", "x")]
+    path = write_jsonl(tmp_path / "a.jsonl", [record])
+    with pytest.raises(AnnotationError) as info:
+        load_annotations(path, manifest)
+    assert str(info.value) == f"{path}:1: {message}"
+
+
+def test_an_unknown_id_is_skipped_before_its_entities_are_read(tmp_path):
+    manifest = [TranscriptPair("s1", "the digoxin level", "x")]
+    path = write_jsonl(tmp_path / "a.jsonl", [{"id": "ghost", "entities": "not a list"},
+                                              {"id": "ghost", "entities": [{"text": 7}]}])
+    assert load_annotations(path, manifest) == {}
+
+
+@pytest.mark.parametrize("score", [None, 0, 1, 0.5, 1.0])
+def test_an_entity_score_in_range_is_accepted_and_ignored(tmp_path, score):
+    manifest = [TranscriptPair("s1", "the digoxin level", "x")]
+    path = write_jsonl(tmp_path / "a.jsonl", [{"id": "s1", "entities": [{**_ENTITY, "score": score}]}])
+    [entity] = load_annotations(path, manifest)["s1"].entities
+    assert (entity.text, entity.begin, entity.end) == ("digoxin", 4, 11)
 
 
 def _evaluated(tmp_path, n=8):

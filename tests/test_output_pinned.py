@@ -1,0 +1,73 @@
+"""The bytes of every `evaluate` report mode and of `align`, pinned by digest.
+
+A change that is meant to keep the output identical (a faster path, a
+refactor) must keep these digests. A change that means to alter the output
+states so and updates them.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from helpers import dump_corpus
+from medwer import cli
+from medwer.fixtures import synthetic_corpus
+
+# Every letter to one precomposed non-ASCII letter, one code point each, so
+# entity offsets stay valid.
+_LETTER_MAP = str.maketrans("abcdefghijklmnopqrstuvwxyz", "áḃçďéḟğĥïĵķĺṁñöṗʠřşťüṽŵẋÿž")
+
+_COMMANDS = {
+    "evaluate-json-per-sample": ["evaluate", "--per-sample"],
+    "evaluate-csv-per-sample": ["evaluate", "--format", "csv", "--per-sample"],
+    "evaluate-table-groups": ["evaluate", "--format", "table", "--group-by", "model,accent"],
+    "evaluate-raw": ["evaluate", "--normalization", "raw", "--threshold", "0.7", "--max-ngram", "4"],
+    "align-w1": ["align", "--workers", "1"],
+    "align-w2": ["align", "--workers", "2"],
+}
+
+_DIGESTS = {
+    ("ascii", "evaluate-json-per-sample"): "8e2a8df018aa4f8a368533543db715871265cac89dbeb869c97eac1f30becf11",
+    ("ascii", "evaluate-csv-per-sample"): "ce1b5f785fd28a03a21102f3c15fa47bfb5eae70cf57c218ffd4471f1b8ccf52",
+    ("ascii", "evaluate-table-groups"): "d91ff3f5c496f075d8866c6b236f0c120ce7d573c30c908be5b291783a4ecba6",
+    ("ascii", "evaluate-raw"): "56e8c25051367e6ec7c63e445aab6cc2b958194ec97382d9fe511000ba5a0794",
+    ("ascii", "align-w1"): "46d2670dcad4ac30fa40dd10dbc09821ccf3448265b1ec7e4917252ba9d30567",
+    ("ascii", "align-w2"): "46d2670dcad4ac30fa40dd10dbc09821ccf3448265b1ec7e4917252ba9d30567",
+    # The map is 1:1, so every score and count is unchanged and a report
+    # names no entity text: the mapped reports equal the ASCII ones.
+    ("mapped", "evaluate-json-per-sample"): "8e2a8df018aa4f8a368533543db715871265cac89dbeb869c97eac1f30becf11",
+    ("mapped", "evaluate-csv-per-sample"): "ce1b5f785fd28a03a21102f3c15fa47bfb5eae70cf57c218ffd4471f1b8ccf52",
+    ("mapped", "evaluate-table-groups"): "d91ff3f5c496f075d8866c6b236f0c120ce7d573c30c908be5b291783a4ecba6",
+    ("mapped", "evaluate-raw"): "56e8c25051367e6ec7c63e445aab6cc2b958194ec97382d9fe511000ba5a0794",
+    ("mapped", "align-w1"): "9e7751276087796e07429f1b568a2e9df925a560547120303650d87f985613d0",
+    ("mapped", "align-w2"): "9e7751276087796e07429f1b568a2e9df925a560547120303650d87f985613d0",
+}
+
+
+def _mapped(pairs, annotations):
+    pairs = [dataclasses.replace(p, reference=p.reference.translate(_LETTER_MAP),
+                                 hypothesis=p.hypothesis.translate(_LETTER_MAP)) for p in pairs]
+    annotations = {key: dataclasses.replace(a, entities=tuple(
+        dataclasses.replace(e, text=e.text.translate(_LETTER_MAP)) for e in a.entities))
+        for key, a in annotations.items()}
+    return pairs, annotations
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    pairs, annotations = synthetic_corpus(200, seed=5)
+    out = {}
+    for name, corpus in (("ascii", (pairs, annotations)), ("mapped", _mapped(pairs, annotations))):
+        out[name] = dump_corpus(tmp_path_factory.mktemp(name), *corpus)
+    return out
+
+
+@pytest.mark.parametrize("corpus, command", sorted(_DIGESTS))
+def test_output_bytes_are_pinned(corpora, tmp_path, corpus, command):
+    manifest, annotations = corpora[corpus]
+    out = tmp_path / "out"
+    argv = _COMMANDS[command]
+    assert cli.main([*argv[:1], "--manifest", str(manifest), "--annotations", str(annotations),
+                     "--out", str(out), *argv[1:]]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _DIGESTS[corpus, command]

@@ -2,14 +2,19 @@ import json
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import dump_corpus
 from medwer import cli, runner
-from medwer.align import EntityCategory
+from medwer._oracles import reference_record_json
+from medwer.align import AlignedEntity, EntityAnnotation, EntityCategory
 from medwer.corpus import TranscriptPair, render_json, render_table
 from medwer.fixtures import load_golden, synthetic_corpus
+from medwer.fuzzy import similarity_ratio
 from medwer.metrics import aggregate
 from medwer.runner import RunConfig, align_corpus, evaluate_corpus
+from medwer.textnorm import CandidateSpan
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="shards are POSIX forks")
 
@@ -143,6 +148,24 @@ def test_align_corpus_ordering_and_content():
     assert [r["candidate"]["normalized"] for r in t2r1] == ["quinidan", "disopiramid", "dikod sin"]
     empty = [r for r in records if r["id"] == "t1_empty"]
     assert all(r["candidate"] is None and r["score"] == 0.0 for r in empty)
+
+
+_hostile_text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t ñ\U0001F600\U0001D49C'),
+                                   st.characters()))
+_score = st.one_of(st.just(0.0), st.just(1.0),
+                   st.builds(similarity_ratio, st.text("abcñ", max_size=12), st.text("abcñ", max_size=12)))
+_candidate = st.builds(CandidateSpan, st.integers(0, 3000), st.integers(1, 6), _hostile_text, _hostile_text)
+_aligned = st.builds(AlignedEntity,
+                     st.builds(EntityAnnotation, _hostile_text, st.sampled_from(list(EntityCategory)),
+                               st.integers(0, 10**6), st.integers(0, 10**6)),
+                     st.one_of(st.none(), _candidate), _score, st.booleans(), _hostile_text)
+
+
+@given(_hostile_text, _aligned)
+def test_align_record_template_matches_the_generic_rendering(sample_id, ae):
+    line = runner._record_json(sample_id, ae)
+    assert line == reference_record_json(sample_id, ae)
+    assert json.loads(line)["entity"]["text"] == ae.entity.text
 
 
 @needs_fork
