@@ -305,6 +305,22 @@ def test_large_length_groups_match_the_oracle(words, entity_text):
     _assert_matches_oracle(entity_text, " ".join(words), max_n=1 if len(entity_text) > 255 else 3)
 
 
+@pytest.mark.parametrize("clen", [6, 256])
+@pytest.mark.parametrize("size", [1, 9])
+def test_overlaps_count_the_multiset_intersection(size, clen, monkeypatch):
+    # one length group, so every candidate is bounded against the threshold
+    # before anything is scored; the bound it is pushed with is 2*overlap/total
+    strings = _words("abñ", size, clen, seed=size)
+    candidates = align._Candidates({s: (1, i) for i, s in enumerate(strings)})
+    for target in (strings[0], "a" * clen, "ab" + "ñ" * (clen - 3), "b", "ñaab"):
+        pushed = {}
+        monkeypatch.setattr(align, "heappush", lambda heap, item: pushed.setdefault(item[1], -item[0]))
+        align._closest(target, candidates, 1e-9)
+        got = {s: round(b * (len(target) + clen) / 2) for s, b in pushed.items()}
+        want = {s: n for s in strings if (n := sum((Counter(target) & Counter(s)).values()))}
+        assert got == want
+
+
 @st.composite
 def _lengths_around(draw):
     """A target length and sorted distinct candidate lengths, often holding
