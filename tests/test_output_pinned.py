@@ -23,6 +23,9 @@ _COMMANDS = {
     "evaluate-csv-per-sample": ["evaluate", "--format", "csv", "--per-sample"],
     "evaluate-table-groups": ["evaluate", "--format", "table", "--group-by", "model,accent"],
     "evaluate-raw": ["evaluate", "--normalization", "raw", "--threshold", "0.7", "--max-ngram", "4"],
+    "evaluate-json-groups": ["evaluate", "--group-by", "model,accent"],
+    "evaluate-json-per-sample-groups-w2": ["evaluate", "--per-sample", "--group-by", "model,accent",
+                                           "--workers", "2"],
     "align-w1": ["align", "--workers", "1"],
     "align-w2": ["align", "--workers", "2"],
 }
@@ -32,6 +35,8 @@ _DIGESTS = {
     ("ascii", "evaluate-csv-per-sample"): "ce1b5f785fd28a03a21102f3c15fa47bfb5eae70cf57c218ffd4471f1b8ccf52",
     ("ascii", "evaluate-table-groups"): "d91ff3f5c496f075d8866c6b236f0c120ce7d573c30c908be5b291783a4ecba6",
     ("ascii", "evaluate-raw"): "56e8c25051367e6ec7c63e445aab6cc2b958194ec97382d9fe511000ba5a0794",
+    ("ascii", "evaluate-json-groups"): "6f26c6b0f77ded628ccbd4592f4d87ecb8cc0f9e41b48de90eab159d83e5e117",
+    ("ascii", "evaluate-json-per-sample-groups-w2"): "cdb815d0a519a266a6feffdef782c5c618ccfae5b2e9d9c57eea22706c2c4e53",
     ("ascii", "align-w1"): "46d2670dcad4ac30fa40dd10dbc09821ccf3448265b1ec7e4917252ba9d30567",
     ("ascii", "align-w2"): "46d2670dcad4ac30fa40dd10dbc09821ccf3448265b1ec7e4917252ba9d30567",
     # The map is 1:1, so every score and count is unchanged and a report
@@ -40,6 +45,8 @@ _DIGESTS = {
     ("mapped", "evaluate-csv-per-sample"): "ce1b5f785fd28a03a21102f3c15fa47bfb5eae70cf57c218ffd4471f1b8ccf52",
     ("mapped", "evaluate-table-groups"): "d91ff3f5c496f075d8866c6b236f0c120ce7d573c30c908be5b291783a4ecba6",
     ("mapped", "evaluate-raw"): "56e8c25051367e6ec7c63e445aab6cc2b958194ec97382d9fe511000ba5a0794",
+    ("mapped", "evaluate-json-groups"): "6f26c6b0f77ded628ccbd4592f4d87ecb8cc0f9e41b48de90eab159d83e5e117",
+    ("mapped", "evaluate-json-per-sample-groups-w2"): "cdb815d0a519a266a6feffdef782c5c618ccfae5b2e9d9c57eea22706c2c4e53",
     ("mapped", "align-w1"): "9e7751276087796e07429f1b568a2e9df925a560547120303650d87f985613d0",
     ("mapped", "align-w2"): "9e7751276087796e07429f1b568a2e9df925a560547120303650d87f985613d0",
 }
