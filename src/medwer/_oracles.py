@@ -1,22 +1,22 @@
 """Naive reference implementations for cross-checking the fast paths.
 
-Nothing here but reference_sample_json shares code with the production
-modules. The self-check and the test suite use these to regenerate derived
-expectations from first principles: an exhaustive-table longest-block search
-for the similarity ratio, an all-alignments recursion and a full-table
-backtrace for edit distance, a character loop for normalization, and an
-every-candidate scan for the alignment. reference_sample_json renders a
-report row through the generic JSON writer that renders the rest of the
-report, which is the reference for the fixed per-sample row template;
-reference_record_json writes an `align` record's dict with json.dumps, the
-reference for the fixed record template.
+Nothing here shares code with the production modules. The self-check and
+the test suite use these to regenerate derived expectations from first
+principles: an exhaustive-table longest-block search for the similarity
+ratio, an all-alignments recursion and a full-table backtrace for edit
+distance, a character loop for normalization, and an every-candidate scan
+for the alignment. reference_report_json builds a whole JSON report as one
+dict and renders it with a generic writer, the reference for the report's
+fixed block templates; reference_record_json writes an `align` record's
+dict with json.dumps, the reference for the fixed record template.
 """
 
 import json
+import math
 import unicodedata
 from typing import NamedTuple
 
-from .corpus import _dump_json, _edit_counts_dict, _recall_dict
+from .align import EntityCategory
 
 
 def naive_longest_block(a, b, alo, ahi, blo, bhi):
@@ -237,20 +237,66 @@ def oracle_align(entity_text, hypothesis, threshold=0.5, max_n=3, mode="standard
     return None if best is None else best[1]
 
 
-def _sample_dict(sample):
+def _reference_json(value, depth=0):
+    """Generic JSON: two-space indents, floats to four decimals, NaN as null,
+    anything else through json.dumps."""
+    if isinstance(value, float):
+        return "null" if math.isnan(value) else f"{value:.4f}"
+    if isinstance(value, dict):
+        items = [f"{json.dumps(key)}: {_reference_json(item, depth + 1)}" for key, item in value.items()]
+        brackets = "{}"
+    elif isinstance(value, list):
+        items = [_reference_json(item, depth + 1) for item in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    inner = "  " * (depth + 1)
+    return brackets[0] + "\n" + ",\n".join(inner + item for item in items) + "\n" + "  " * depth + brackets[1]
+
+
+_COUNT_FIELDS = ("substitutions", "insertions", "deletions", "hits", "ref_len", "rate")
+
+
+def _counts_dict(counts):
+    return {name: getattr(counts, name) for name in _COUNT_FIELDS}
+
+
+def _recall_dict(recall):
+    return {cat.value: {"recalled": recall[cat].recalled, "total": recall[cat].total, "rate": recall[cat].rate}
+            for cat in EntityCategory if cat in recall}
+
+
+def _metrics_dict(m):
+    """A corpus or group block: counts and recall with their macro rates."""
     return {
-        "id": sample.sample_id,
-        "wer": _edit_counts_dict(sample.wer),
-        "mwer": _edit_counts_dict(sample.mwer),
-        "mcer": _edit_counts_dict(sample.mcer),
-        "recall": _recall_dict(sample.recall),
+        "wer": {**_counts_dict(m.wer), "macro_rate": m.macro_wer},
+        "mwer": {**_counts_dict(m.mwer), "macro_rate": m.macro_mwer},
+        "mcer": {**_counts_dict(m.mcer), "macro_rate": m.macro_mcer},
+        "recall": {label: {**entry, "macro_rate": m.macro_recall.get(EntityCategory(label), math.nan)}
+                   for label, entry in _recall_dict(m.recall).items()},
+        "samples": m.samples,
+        "skipped_zero_entity": m.skipped_zero_entity,
+        "skipped_zero_word": m.skipped_zero_word,
     }
 
 
-def reference_sample_json(sample):
-    """One per_sample row of a JSON report, with its indent, rendered from a
-    dict by the generic writer."""
-    return "    " + _dump_json(_sample_dict(sample), 2)
+def reference_report_json(corpus, per_sample, config, groups):
+    """A whole JSON report, built as one dict (per_sample as a list) and
+    rendered by the generic writer."""
+    doc = {}
+    if config is not None:
+        doc["config"] = {"threshold": float(config["threshold"]), "max_ngram": int(config["max_ngram"]),
+                         "normalization": str(config["normalization"])}
+    doc["corpus"] = _metrics_dict(corpus)
+    if groups:
+        doc["groups"] = {key: _metrics_dict(groups[key]) for key in sorted(groups)}
+    if per_sample is not None:
+        doc["per_sample"] = [{"id": s.sample_id, "wer": _counts_dict(s.wer), "mwer": _counts_dict(s.mwer),
+                              "mcer": _counts_dict(s.mcer), "recall": _recall_dict(s.recall)}
+                             for s in per_sample]
+    return _reference_json(doc) + "\n"
 
 
 def reference_record_json(sample_id, ae):

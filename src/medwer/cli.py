@@ -71,23 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    group_by: tuple[str, ...] = ()
-    raw = getattr(args, "group_by", None)
+    fields = {key: value for key, value in vars(args).items() if key != "command"}
+    raw = fields.pop("group_by", None)
     if raw:
-        group_by = tuple(key.strip() for key in raw.split(",") if key.strip())
-    return RunConfig(
-        manifest=args.manifest,
-        annotations=args.annotations,
-        threshold=args.threshold,
-        max_ngram=args.max_ngram,
-        normalization=args.normalization,
-        out=args.out,
-        fmt=getattr(args, "fmt", "json"),
-        per_sample=getattr(args, "per_sample", False),
-        group_by=group_by,
-        strict=args.strict,
-        workers=args.workers,
-    )
+        fields["group_by"] = tuple(key.strip() for key in raw.split(",") if key.strip())
+    return RunConfig(**fields)
 
 
 def _load_corpus(cfg: RunConfig):

@@ -13,9 +13,9 @@ written from it.
 Reports are written as json, csv, or a human-readable table; nothing reads
 them back. Output is byte-identical for identical inputs: field order is
 fixed and every rate is rendered with four decimals (half-even, via standard
-float formatting). In a json report, each per_sample row comes from one
-fixed template. It gives the bytes that the generic writer of the rest of
-the report would give, at about a fifth of the cost.
+float formatting). Every block of a json report (config, corpus, groups and
+per_sample rows) comes from fixed templates, checked against the generic
+rendering of _oracles.reference_report_json.
 """
 
 import csv
@@ -23,6 +23,7 @@ import io
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -38,6 +39,7 @@ REPORT_FORMATS = ("json", "csv", "table")
 # Table layout lists recall columns in MED/ANA/COND/TTP/PHI order.
 TABLE_RECALL_ORDER = (EntityCategory.MED, EntityCategory.ANA, EntityCategory.COND,
                       EntityCategory.TTP, EntityCategory.PHI)
+_CATEGORIES = tuple(EntityCategory)  # json order; a tuple iterates faster than the enum
 
 # External category labels accepted at ingestion, mapped to the paper's
 # five categories.
@@ -99,8 +101,8 @@ def _iter_jsonl(path, kind: str, err: type[IngestionError]):
                     raise err(f"{path}:{lineno}: malformed JSON: {e.msg}") from e
                 if not isinstance(record, dict):
                     raise err(f"{path}:{lineno}: expected an object, got {type(record).__name__}")
-                # only a \u escape can put a lone surrogate into decoded text
-                if "\\u" in line:
+                # only a \uD800-\uDFFF escape can decode to a lone surrogate
+                if "\\u" in line and re.search(r"\\u[dD][89a-fA-F]", line):
                     try:
                         json.dumps(record, ensure_ascii=False).encode("utf-8")
                     except UnicodeEncodeError:
@@ -238,103 +240,65 @@ def _format_float(value: float) -> str:
     return f"{value:.4f}"
 
 
-def _dump_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{inner}{json.dumps(str(k))}: {_dump_json(v, indent + 1)}" for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, float):
-        return _format_float(value)
-    if isinstance(value, int):
-        return str(value)
-    return json.dumps(value)
+def _counts_json(counts: EditCounts, pad: str, macro: float | None = None) -> str:
+    """Counts whose key sits on a line indented by pad; a macro adds macro_rate."""
+    inner = pad + "  "
+    tail = "" if macro is None else f',\n{inner}"macro_rate": {_format_float(macro)}'
+    return (f'{{\n{inner}"substitutions": {counts.substitutions},\n'
+            f'{inner}"insertions": {counts.insertions},\n'
+            f'{inner}"deletions": {counts.deletions},\n'
+            f'{inner}"hits": {counts.hits},\n'
+            f'{inner}"ref_len": {counts.ref_len},\n'
+            f'{inner}"rate": {_format_float(counts.rate)}{tail}\n{pad}}}')
 
 
-def _edit_counts_dict(counts: EditCounts, macro: float | None = None) -> dict:
-    out = {
-        "substitutions": counts.substitutions,
-        "insertions": counts.insertions,
-        "deletions": counts.deletions,
-        "hits": counts.hits,
-        "ref_len": counts.ref_len,
-        "rate": counts.rate,
-    }
-    if macro is not None:
-        out["macro_rate"] = macro
-    return out
+def _recall_json(recall: dict[EntityCategory, RecallCount], pad: str,
+                 macro: dict[EntityCategory, float] | None = None) -> str:
+    inner, field = pad + "  ", pad + "    "
+    entries = []
+    for cat in _CATEGORIES:
+        if (rc := recall.get(cat)) is not None:
+            tail = "" if macro is None else f',\n{field}"macro_rate": {_format_float(macro.get(cat, math.nan))}'
+            entries.append(f'{inner}"{cat.value}": {{\n{field}"recalled": {rc.recalled},\n'
+                           f'{field}"total": {rc.total},\n{field}"rate": {_format_float(rc.rate)}{tail}\n{inner}}}')
+    return "{\n" + ",\n".join(entries) + f"\n{pad}}}" if entries else "{}"
 
 
-def _recall_dict(recall: dict[EntityCategory, RecallCount],
-                 macro: dict[EntityCategory, float] | None = None) -> dict:
-    out = {}
-    for cat in EntityCategory:
-        if cat not in recall:
-            continue
-        rc = recall[cat]
-        entry = {"recalled": rc.recalled, "total": rc.total, "rate": rc.rate}
-        if macro is not None:
-            entry["macro_rate"] = macro.get(cat, math.nan)
-        out[cat.value] = entry
-    return out
-
-
-def _corpus_dict(corpus: CorpusMetrics) -> dict:
-    return {
-        "wer": _edit_counts_dict(corpus.wer, corpus.macro_wer),
-        "mwer": _edit_counts_dict(corpus.mwer, corpus.macro_mwer),
-        "mcer": _edit_counts_dict(corpus.mcer, corpus.macro_mcer),
-        "recall": _recall_dict(corpus.recall, corpus.macro_recall),
-        "samples": corpus.samples,
-        "skipped_zero_entity": corpus.skipped_zero_entity,
-        "skipped_zero_word": corpus.skipped_zero_word,
-    }
-
-
-def _counts_json(counts: EditCounts) -> str:
-    return (f'{{\n        "substitutions": {counts.substitutions},\n'
-            f'        "insertions": {counts.insertions},\n'
-            f'        "deletions": {counts.deletions},\n'
-            f'        "hits": {counts.hits},\n'
-            f'        "ref_len": {counts.ref_len},\n'
-            f'        "rate": {_format_float(counts.rate)}\n      }}')
+def _metrics_json(m: CorpusMetrics, pad: str) -> str:
+    inner = pad + "  "
+    return (f'{{\n{inner}"wer": {_counts_json(m.wer, inner, m.macro_wer)},\n'
+            f'{inner}"mwer": {_counts_json(m.mwer, inner, m.macro_mwer)},\n'
+            f'{inner}"mcer": {_counts_json(m.mcer, inner, m.macro_mcer)},\n'
+            f'{inner}"recall": {_recall_json(m.recall, inner, m.macro_recall)},\n'
+            f'{inner}"samples": {m.samples},\n'
+            f'{inner}"skipped_zero_entity": {m.skipped_zero_entity},\n'
+            f'{inner}"skipped_zero_word": {m.skipped_zero_word}\n{pad}}}')
 
 
 def _sample_json(sample: SampleMetrics) -> str:
-    """One per_sample row as _dump_json renders it at depth 2, from a fixed
-    template; _oracles.reference_sample_json is the generic rendering."""
-    recall = ",\n".join(f'        "{cat.value}": {{\n'
-                        f'          "recalled": {rc.recalled},\n'
-                        f'          "total": {rc.total},\n'
-                        f'          "rate": {_format_float(rc.rate)}\n        }}'
-                        for cat in EntityCategory if (rc := sample.recall.get(cat)) is not None)
-    recall = f"{{\n{recall}\n      }}" if recall else "{}"
+    """One per_sample row, indented four spaces: counts and recall, no macro rates."""
     return (f'    {{\n      "id": {json.dumps(sample.sample_id)},\n'
-            f'      "wer": {_counts_json(sample.wer)},\n'
-            f'      "mwer": {_counts_json(sample.mwer)},\n'
-            f'      "mcer": {_counts_json(sample.mcer)},\n'
-            f'      "recall": {recall}\n    }}')
+            f'      "wer": {_counts_json(sample.wer, "      ")},\n'
+            f'      "mwer": {_counts_json(sample.mwer, "      ")},\n'
+            f'      "mcer": {_counts_json(sample.mcer, "      ")},\n'
+            f'      "recall": {_recall_json(sample.recall, "      ")}\n    }}')
 
 
 def render_json(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None,
                 config: dict | None, groups: dict[str, CorpusMetrics] | None) -> str:
-    doc: dict = {}
+    blocks = []
     if config is not None:
-        doc["config"] = {
-            "threshold": float(config["threshold"]),
-            "max_ngram": int(config["max_ngram"]),
-            "normalization": str(config["normalization"]),
-        }
-    doc["corpus"] = _corpus_dict(corpus)
+        blocks.append(f'  "config": {{\n    "threshold": {_format_float(float(config["threshold"]))},\n'
+                      f'    "max_ngram": {int(config["max_ngram"])},\n'
+                      f'    "normalization": {json.dumps(str(config["normalization"]))}\n  }}')
+    blocks.append(f'  "corpus": {_metrics_json(corpus, "  ")}')
     if groups:
-        doc["groups"] = {key: _corpus_dict(groups[key]) for key in sorted(groups)}
-    items = [f"  {json.dumps(key)}: {_dump_json(value, 1)}" for key, value in doc.items()]
+        rows = ",\n".join(f'    {json.dumps(key)}: {_metrics_json(groups[key], "    ")}' for key in sorted(groups))
+        blocks.append(f'  "groups": {{\n{rows}\n  }}')
     if per_sample is not None:
         rows = ",\n".join(map(_sample_json, per_sample))
-        items.append(f'  "per_sample": [\n{rows}\n  ]' if per_sample else '  "per_sample": []')
-    return "{\n" + ",\n".join(items) + "\n}\n"
+        blocks.append(f'  "per_sample": [\n{rows}\n  ]' if per_sample else '  "per_sample": []')
+    return "{\n" + ",\n".join(blocks) + "\n}\n"
 
 
 _CSV_RATE = lambda v: "" if math.isnan(v) else f"{v:.4f}"

@@ -1,19 +1,21 @@
+import ast
 import codecs
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import write_jsonl
-from medwer._oracles import reference_sample_json
+from helpers import annotation_record, pair_record, write_jsonl
+import medwer
+from medwer._oracles import reference_report_json
 from medwer.align import EntityCategory
-from medwer.corpus import (AnnotationError, ManifestError, TranscriptPair, _corpus_dict, _dump_json,
-                           _sample_json, load_annotations, load_manifest, render_json, render_table,
-                           write_report)
+from medwer.corpus import (AnnotationError, ManifestError, TranscriptPair, _sample_json, load_annotations,
+                           load_manifest, render_json, render_table, write_report)
 from medwer.fixtures import fixture_path, load_golden, synthetic_corpus
-from medwer.metrics import EditCounts, RecallCount, SampleMetrics, aggregate
+from medwer.metrics import CorpusMetrics, EditCounts, RecallCount, SampleMetrics, aggregate
 from medwer.runner import RunConfig, evaluate_corpus
 
 
@@ -66,13 +68,16 @@ def test_load_manifest_malformed_json_reports_line(tmp_path):
 
 # JSON can escape a lone surrogate, which is not Unicode text and cannot be
 # written back out as UTF-8; a surrogate pair is one astral character.
-@pytest.mark.parametrize("record", [
-    {"id": "b\udc00", "reference": "a", "hypothesis": "a"},
-    {"id": "b", "reference": "a", "hypothesis": "a", "accent": "\ud800"},
-    {"id": "b", "reference": "a", "hypothesis": "a", "\udfff": 1},
-], ids=["id", "accent", "key"])
-def test_load_manifest_rejects_lone_surrogate_naming_line(tmp_path, record):
-    path = write_jsonl(tmp_path / "m.jsonl", [{"id": "s1", "reference": "a", "hypothesis": "a"}, record])
+@pytest.mark.parametrize("line", [
+    json.dumps({"id": "b\udc00", "reference": "a", "hypothesis": "a"}),
+    json.dumps({"id": "b", "reference": "a", "hypothesis": "a", "accent": "\ud800"}),
+    json.dumps({"id": "b", "reference": "a", "hypothesis": "a", "\udfff": 1}),
+    '{"id": "b\\uDC00", "reference": "a", "hypothesis": "a"}',
+], ids=["id", "accent", "key", "uppercase-hex"])
+def test_load_manifest_rejects_lone_surrogate_naming_line(tmp_path, line):
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps({"id": "s1", "reference": "a", "hypothesis": "a"}) + "\n" + line + "\n",
+                    encoding="utf-8")
     with pytest.raises(ManifestError, match=r"m\.jsonl:2: .*surrogate"):
         load_manifest(path)
 
@@ -91,6 +96,30 @@ def test_surrogate_pair_escape_is_one_astral_character(tmp_path):
     assert "\\ud83d" in path.read_text(encoding="utf-8")
     [pair] = load_manifest(path)
     assert (pair.id, pair.reference) == ("b\U0001F600", "a \\u00e9")
+
+
+def test_an_ascii_escaped_copy_of_a_corpus_loads_equal_to_it(tmp_path):
+    # one astral and precomposed letters, each one code point, so offsets stay valid
+    letters = str.maketrans("aeiou", "\U0001D4B6éïöü")
+    pairs, annotations = synthetic_corpus(20, seed=3)
+    pairs = [TranscriptPair(p.id, p.reference.translate(letters), p.hypothesis.translate(letters),
+                            p.accent, p.domain, p.model) for p in pairs]
+    records = [annotation_record(a) for a in annotations.values()]
+    for record in records:
+        for entity in record["entities"]:
+            entity["text"] = entity["text"].translate(letters)
+    loaded = []
+    for ensure_ascii in (False, True):
+        manifest, annot = tmp_path / f"m{ensure_ascii}.jsonl", tmp_path / f"a{ensure_ascii}.jsonl"
+        manifest.write_text("".join(json.dumps(pair_record(p), ensure_ascii=ensure_ascii) + "\n"
+                                    for p in pairs), encoding="utf-8")
+        annot.write_text("".join(json.dumps(r, ensure_ascii=ensure_ascii) + "\n" for r in records),
+                         encoding="utf-8")
+        loaded_pairs = load_manifest(manifest)
+        loaded.append((loaded_pairs, load_annotations(annot, loaded_pairs)))
+    assert "\\ud835" in manifest.read_text(encoding="utf-8")
+    assert loaded[0] == loaded[1]
+    assert loaded[0][0] == pairs
 
 
 def test_load_manifest_missing_file_names_path(tmp_path):
@@ -393,43 +422,59 @@ def test_identical_inputs_write_identical_bytes(tmp_path):
 
 # Small counts give NaN (zero denominator) and whole-number rates often.
 _count = st.one_of(st.integers(0, 3), st.integers(0, 10**9))
-_sample_id = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\U0001F600'), st.characters()),
-                     min_size=1)
-_sample_metrics = st.builds(
-    SampleMetrics, _sample_id, *[st.builds(EditCounts, *[_count] * 5)] * 3,
-    st.dictionaries(st.sampled_from(list(EntityCategory)), st.builds(RecallCount, _count, _count)))
-
-
-def _generic_render_json(corpus, per_sample, config, groups):
-    """render_json with every block dict-built and rendered by the generic
-    writer, and each per_sample row by _oracles.reference_sample_json."""
-    doc = {}
-    if config is not None:
-        doc["config"] = {"threshold": float(config["threshold"]), "max_ngram": int(config["max_ngram"]),
-                         "normalization": str(config["normalization"])}
-    doc["corpus"] = _corpus_dict(corpus)
-    if groups:
-        doc["groups"] = {key: _corpus_dict(groups[key]) for key in sorted(groups)}
-    text = _dump_json(doc)
-    if per_sample is not None:  # "per_sample" goes last, before the closing "\n}"
-        rows = ",\n".join(map(reference_sample_json, per_sample))
-        text = text[:-2] + (f',\n  "per_sample": [\n{rows}\n  ]\n}}' if per_sample else ',\n  "per_sample": []\n}')
-    return text + "\n"
+# quotes, backslashes, control, line-separator and astral characters
+_text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\U0001F600'), st.characters()),
+                min_size=1)
+_edit_counts = st.builds(EditCounts, *[_count] * 5)
+_recall = st.dictionaries(st.sampled_from(list(EntityCategory)), st.builds(RecallCount, _count, _count))
+_sample_metrics = st.builds(SampleMetrics, _text, _edit_counts, _edit_counts, _edit_counts, _recall)
+_rate = st.one_of(st.just(math.nan), st.floats(0, 10))
+# Built by hand, so macro_recall may lack a category that recall has, or
+# name one that recall lacks.
+_corpus_metrics = st.builds(
+    CorpusMetrics, _edit_counts, _edit_counts, _edit_counts, _recall, _count, _count, _count,
+    _rate, _rate, _rate, st.dictionaries(st.sampled_from(list(EntityCategory)), _rate))
+_config = st.fixed_dictionaries({"threshold": st.floats(0.01, 1), "max_ngram": st.integers(1, 9),
+                                 "normalization": _text})
 
 
 @given(_sample_metrics)
 def test_per_sample_row_template_matches_the_generic_rendering(sample):
-    assert _sample_json(sample) == reference_sample_json(sample)
+    report = reference_report_json(CorpusMetrics(), [sample], None, None)
+    assert report.endswith(f'  "per_sample": [\n{_sample_json(sample)}\n  ]\n}}\n')
 
 
-@settings(max_examples=50)
-@given(st.lists(_sample_metrics, max_size=4), st.booleans(), st.booleans())
-def test_render_json_matches_the_generic_rendering(samples, with_groups, with_config):
-    corpus = aggregate(samples)
-    groups = {"model=b": corpus, "model=a": aggregate(samples[:1])} if with_groups else None
-    config = RunConfig().config_dict() if with_config else None
+@settings(max_examples=100)
+@given(st.lists(_sample_metrics, max_size=4), st.one_of(st.none(), _corpus_metrics),
+       st.one_of(st.none(), st.dictionaries(_text, _corpus_metrics, max_size=3)),
+       st.one_of(st.none(), _config))
+def test_render_json_matches_the_generic_rendering(samples, corpus, groups, config):
+    corpus = aggregate(samples) if corpus is None else corpus
     for per_sample in (samples, [], None):
         text = render_json(corpus, per_sample, config, groups)
-        assert text == _generic_render_json(corpus, per_sample, config, groups)
-        assert [row["id"] for row in json.loads(text).get("per_sample", [])] == \
-            [s.sample_id for s in per_sample or []]
+        assert text == reference_report_json(corpus, per_sample, config, groups)
+        doc = json.loads(text)
+        assert [row["id"] for row in doc.get("per_sample", [])] == [s.sample_id for s in per_sample or []]
+        assert list(doc.get("groups", {})) == sorted(groups or {})
+
+
+def test_a_category_missing_from_macro_recall_renders_null():
+    recall = {EntityCategory.MED: RecallCount(1, 2), EntityCategory.PHI: RecallCount(0, 1)}
+    corpus = CorpusMetrics(recall=recall, macro_recall={EntityCategory.MED: 0.5})
+    doc = json.loads(render_json(corpus, None, None, {"g": corpus}))
+    for block in (doc["corpus"], doc["groups"]["g"]):
+        assert block["recall"]["MED"]["macro_rate"] == 0.5
+        assert block["recall"]["PHI"] == {"recalled": 0, "total": 1, "rate": 0.0, "macro_rate": None}
+
+
+def test_the_oracles_import_nothing_from_the_modules_they_check():
+    # medwer/__init__ loads every module, so sys.modules cannot show this
+    tree = ast.parse(Path(medwer.__file__).with_name("_oracles.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module in (None, "medwer"):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module)
+    assert "align" in imported
+    assert [name for name in imported if name.split(".")[-1] in ("corpus", "runner", "metrics")] == []
