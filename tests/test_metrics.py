@@ -107,7 +107,11 @@ def test_edit_distance_matches_full_table_reference_across_word_boundaries(pair)
 
 
 @pytest.mark.parametrize("ref,hyp", [("", ""), ("", "abc"), ("abc", ""), ("a" * 64, "a" * 65),
-                                     ("ab" * 64, "ba" * 64), ("a" * 129, "b" * 128)])
+                                     ("ab" * 64, "ba" * 64), ("a" * 129, "b" * 128),
+                                     # runs of 100+ deletions or insertions inside the
+                                     # backtrace, across 64-bit word boundaries
+                                     ("x" + "ab" * 70 + "y", "xy"), ("xy", "x" + "ab" * 70 + "y"),
+                                     ("a" * 100 + "b" * 100, "ab"), ("ab", "a" * 100 + "b" * 100)])
 def test_edit_distance_matches_full_table_reference_at_edges(ref, hyp):
     _assert_counts_match_reference(ref, hyp)
     _assert_counts_match_reference(list(ref), list(hyp))
@@ -287,6 +291,64 @@ def test_aggregate_is_order_independent(specs, rnd):
     shuffled = list(samples)
     rnd.shuffle(shuffled)
     assert _corpus_equal(aggregate(samples), aggregate(shuffled))
+
+
+@st.composite
+def edit_counts(draw):
+    """Counts whose ref_len may be 0, with insertions on either side of that."""
+    subs, ins, dels, hits = (draw(st.integers(0, 3)) for _ in range(4))
+    return EditCounts(subs, ins, dels, hits, subs + dels + hits)
+
+
+@st.composite
+def sample_metrics(draw, n):
+    cats = draw(st.permutations(list(EntityCategory)))
+    recall = {}
+    for cat in cats[:draw(st.integers(0, len(cats)))]:
+        total = draw(st.integers(0, 3))
+        recall[cat] = RecallCount(draw(st.integers(0, total)), total)
+    return SampleMetrics(f"s{n}", draw(edit_counts()), draw(edit_counts()), draw(edit_counts()), recall)
+
+
+def _summed(counts, cls):
+    return cls(*(sum(getattr(c, name) for c in counts) for name in cls.__dataclass_fields__))
+
+
+def _macro(rates):
+    return math.fsum(rates) / len(rates) if rates else math.nan
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda k: st.tuples(*(sample_metrics(n) for n in range(k)))))
+def test_aggregate_equals_a_field_by_field_recomputation(samples):
+    samples = list(samples)
+    corpus = aggregate(samples)
+    with_words = [s for s in samples if s.wer.ref_len != 0]
+    # M-CER is counted for exactly the samples that count for M-WER
+    with_entities = [s for s in samples if s.mwer.ref_len != 0]
+    recall, macro_recall = {}, {}
+    for cat in list(EntityCategory):
+        counted = [s.recall[cat] for s in samples if cat in s.recall and s.recall[cat].total != 0]
+        if counted:
+            recall[cat] = _summed(counted, RecallCount)
+            macro_recall[cat] = _macro([rc.recalled / rc.total for rc in counted])
+    expected = CorpusMetrics(
+        wer=_summed([s.wer for s in with_words], EditCounts),
+        mwer=_summed([s.mwer for s in with_entities], EditCounts),
+        mcer=_summed([s.mcer for s in with_entities], EditCounts),
+        recall=recall,
+        samples=len(samples),
+        skipped_zero_entity=sum(s.mwer.ref_len == 0 for s in samples),
+        skipped_zero_word=sum(s.wer.ref_len == 0 for s in samples),
+        macro_wer=_macro([s.wer.errors / s.wer.ref_len for s in with_words]),
+        macro_mwer=_macro([s.mwer.errors / s.mwer.ref_len for s in with_entities]),
+        # a drawn M-CER may have ref_len 0 beside a nonzero M-WER: its rate is NaN
+        macro_mcer=_macro([s.mcer.rate for s in with_entities]),
+        macro_recall=macro_recall,
+    )
+    assert _corpus_equal(corpus, expected)
+    assert list(corpus.recall) == list(recall)
+    assert list(corpus.macro_recall) == list(macro_recall)
 
 
 @given(tokens, tokens)
