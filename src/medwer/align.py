@@ -56,6 +56,9 @@ class EntityCategory(str, Enum):
         return self.value
 
 
+CATEGORIES = tuple(EntityCategory)  # report order; a tuple iterates faster than the enum
+
+
 @dataclass(frozen=True)
 class EntityAnnotation:
     """One ground-truth entity with [begin, end) offsets into the reference."""

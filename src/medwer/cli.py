@@ -131,10 +131,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(cfg)
         return cmd_align(cfg)
-    except IngestionError as e:
-        print(f"medwer: error: {e}", file=sys.stderr)
-        return EXIT_INGESTION
-    except OSError as e:
+    except (IngestionError, OSError) as e:
         print(f"medwer: error: {e}", file=sys.stderr)
         return EXIT_INGESTION
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
-from .align import EntityAnnotation, EntityCategory
+from .align import CATEGORIES, EntityAnnotation, EntityCategory
 from .metrics import CorpusMetrics, EditCounts, RecallCount, SampleMetrics
 from .textnorm import normalize
 
@@ -39,7 +39,6 @@ REPORT_FORMATS = ("json", "csv", "table")
 # Table layout lists recall columns in MED/ANA/COND/TTP/PHI order.
 TABLE_RECALL_ORDER = (EntityCategory.MED, EntityCategory.ANA, EntityCategory.COND,
                       EntityCategory.TTP, EntityCategory.PHI)
-_CATEGORIES = tuple(EntityCategory)  # json order; a tuple iterates faster than the enum
 
 # External category labels accepted at ingestion, mapped to the paper's
 # five categories.
@@ -256,7 +255,7 @@ def _recall_json(recall: dict[EntityCategory, RecallCount], pad: str,
                  macro: dict[EntityCategory, float] | None = None) -> str:
     inner, field = pad + "  ", pad + "    "
     entries = []
-    for cat in _CATEGORIES:
+    for cat in CATEGORIES:
         if (rc := recall.get(cat)) is not None:
             tail = "" if macro is None else f',\n{field}"macro_rate": {_format_float(macro.get(cat, math.nan))}'
             entries.append(f'{inner}"{cat.value}": {{\n{field}"recalled": {rc.recalled},\n'
@@ -309,17 +308,16 @@ def render_csv(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None) ->
     for metric in ("wer", "mwer", "mcer"):
         header += [f"{metric}_{f}" for f in ("substitutions", "insertions", "deletions",
                                              "hits", "ref_len", "rate")]
-    for cat in EntityCategory:
+    for cat in CATEGORIES:
         header += [f"recall_{cat.value}_recalled", f"recall_{cat.value}_total", f"recall_{cat.value}_rate"]
 
-    def row(label: str, werc: EditCounts, mwerc: EditCounts, mcerc: EditCounts,
-            recall: dict[EntityCategory, RecallCount]) -> list:
+    def row(label: str, m: SampleMetrics | CorpusMetrics) -> list:
         cells: list = [label]
-        for counts in (werc, mwerc, mcerc):
+        for counts in (m.wer, m.mwer, m.mcer):
             cells += [counts.substitutions, counts.insertions, counts.deletions,
                       counts.hits, counts.ref_len, _CSV_RATE(counts.rate)]
-        for cat in EntityCategory:
-            rc = recall.get(cat)
+        for cat in CATEGORIES:
+            rc = m.recall.get(cat)
             if rc is None:
                 cells += ["", "", ""]
             else:
@@ -330,8 +328,8 @@ def render_csv(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None) ->
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for sample in per_sample or []:
-        writer.writerow(row(sample.sample_id, sample.wer, sample.mwer, sample.mcer, sample.recall))
-    writer.writerow(row("corpus", corpus.wer, corpus.mwer, corpus.mcer, corpus.recall))
+        writer.writerow(row(sample.sample_id, sample))
+    writer.writerow(row("corpus", corpus))
     return buf.getvalue()
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .align import AlignedEntity, EntityCategory, ground_truth_sequence, recovered_sequence
+from .align import CATEGORIES, AlignedEntity, EntityCategory, ground_truth_sequence, recovered_sequence
 from .textnorm import TokenSequence, tokenize
 
 
@@ -107,9 +107,10 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> EditCounts:
     +1 because D[0][j] == j. Any cell can be read back exactly as
     D[i][j] = j + popcount(VP_j & (2^i - 1)) - popcount(VN_j & (2^i - 1)),
     and each vertical step D[i][j] - D[i-1][j] is one bit of VP_j and VN_j.
-    The backtrace carries the current cell and its diagonal neighbour, pays a
-    popcount pair only when it enters a column, and so makes the same
-    choices, and yields the same split, as a walk over the full table.
+    The backtrace carries the current cell; each step reads its diagonal
+    neighbour from column j-1 with one popcount pair, and a deletion or an
+    insertion leaves cur - 1, so it makes the same choices, and yields the
+    same split, as a walk over the full table.
     Elements must be hashable. Memory is the m+1 column pairs, about
     2*m*n/8 bytes, instead of (n+1)*(m+1) ints.
     """
@@ -146,37 +147,30 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> EditCounts:
         vps.append(vp)
         vns.append(vn)
 
-    # cur = D[i][j] and diag = D[i-1][j-1]; once i or j is 0, only deletions
-    # or insertions remain.
+    # One step per iteration from cur = D[i][j], reading diag = D[i-1][j-1]
+    # from column j-1; once i or j is 0, only deletions or insertions remain.
     subs = ins = dels = 0
     i, j = n, m
     cur = m + vps[m].bit_count() - vns[m].bit_count()
     while i > 0 and j > 0:
-        vp, vn, column_vp, hyp_item = vps[j - 1], vns[j - 1], vps[j], hyp[j - 1]
         low = (1 << (i - 1)) - 1
-        diag = j - 1 + (vp & low).bit_count() - (vn & low).bit_count()
-        while i > 0:
-            row = i - 1
-            if diag == cur and ref[row] == hyp_item:
-                hits += 1
-            elif diag + 1 == cur:
-                subs += 1
-            elif column_vp >> row & 1:  # D[i-1][j] == cur - 1
+        diag = j - 1 + (vps[j - 1] & low).bit_count() - (vns[j - 1] & low).bit_count()
+        if diag == cur and ref[i - 1] == hyp[j - 1]:
+            hits += 1
+        elif diag + 1 == cur:
+            subs += 1
+        else:
+            cur -= 1
+            if vps[j] >> (i - 1) & 1:  # D[i-1][j] == cur - 1
                 dels += 1
-                cur -= 1
-                i = row
-                if i:
-                    diag -= (vp >> (i - 1) & 1) - (vn >> (i - 1) & 1)
-                continue
+                i -= 1
             else:
                 ins += 1
-                cur = diag + (vp >> row & 1) - (vn >> row & 1)
                 j -= 1
-                break
-            cur = diag
-            i = row
-            j -= 1
-            break
+            continue
+        cur = diag
+        i -= 1
+        j -= 1
     return EditCounts(subs, ins + j, dels + i, hits, ref_len)
 
 
@@ -218,7 +212,7 @@ def entity_recall(aligned: list[AlignedEntity]) -> dict[EntityCategory, RecallCo
         cat = ae.entity.category
         prev = out.get(cat, RecallCount())
         out[cat] = RecallCount(prev.recalled + (1 if ae.exact else 0), prev.total + 1)
-    return {cat: out[cat] for cat in EntityCategory if cat in out}
+    return {cat: out[cat] for cat in CATEGORIES if cat in out}
 
 
 def _mean(values: list[float]) -> float:
@@ -235,44 +229,23 @@ def aggregate(samples: list[SampleMetrics]) -> CorpusMetrics:
     summation, so any partition or permutation of samples reduces to the
     same result.
     """
-    wer_sum = EditCounts()
-    mwer_sum = EditCounts()
-    mcer_sum = EditCounts()
-    recall_sum: dict[EntityCategory, RecallCount] = {}
-    wer_rates: list[float] = []
-    mwer_rates: list[float] = []
-    mcer_rates: list[float] = []
-    recall_rates: dict[EntityCategory, list[float]] = {}
-    zero_word = zero_entity = 0
-
+    worded = [s for s in samples if s.wer.ref_len > 0]
+    entitied = [s for s in samples if s.mwer.ref_len > 0]  # M-CER follows M-WER
+    recall: dict[EntityCategory, list[RecallCount]] = {cat: [] for cat in CATEGORIES}
     for s in samples:
-        if s.wer.ref_len > 0:
-            wer_sum += s.wer
-            wer_rates.append(s.wer.rate)
-        else:
-            zero_word += 1
-        if s.mwer.ref_len > 0:
-            mwer_sum += s.mwer
-            mcer_sum += s.mcer
-            mwer_rates.append(s.mwer.rate)
-            mcer_rates.append(s.mcer.rate)
-        else:
-            zero_entity += 1
         for cat, rc in s.recall.items():
             if rc.total > 0:
-                recall_sum[cat] = recall_sum.get(cat, RecallCount()) + rc
-                recall_rates.setdefault(cat, []).append(rc.rate)
-
+                recall[cat].append(rc)
     return CorpusMetrics(
-        wer=wer_sum,
-        mwer=mwer_sum,
-        mcer=mcer_sum,
-        recall={cat: recall_sum[cat] for cat in EntityCategory if cat in recall_sum},
+        wer=sum((s.wer for s in worded), EditCounts()),
+        mwer=sum((s.mwer for s in entitied), EditCounts()),
+        mcer=sum((s.mcer for s in entitied), EditCounts()),
+        recall={cat: sum(counted, RecallCount()) for cat, counted in recall.items() if counted},
         samples=len(samples),
-        skipped_zero_entity=zero_entity,
-        skipped_zero_word=zero_word,
-        macro_wer=_mean(wer_rates),
-        macro_mwer=_mean(mwer_rates),
-        macro_mcer=_mean(mcer_rates),
-        macro_recall={cat: _mean(recall_rates[cat]) for cat in EntityCategory if cat in recall_rates},
+        skipped_zero_entity=len(samples) - len(entitied),
+        skipped_zero_word=len(samples) - len(worded),
+        macro_wer=_mean([s.wer.rate for s in worded]),
+        macro_mwer=_mean([s.mwer.rate for s in entitied]),
+        macro_mcer=_mean([s.mcer.rate for s in entitied]),
+        macro_recall={cat: _mean([rc.rate for rc in counted]) for cat, counted in recall.items() if counted},
     )

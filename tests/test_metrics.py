@@ -327,7 +327,7 @@ def test_aggregate_equals_a_field_by_field_recomputation(samples):
     # M-CER is counted for exactly the samples that count for M-WER
     with_entities = [s for s in samples if s.mwer.ref_len != 0]
     recall, macro_recall = {}, {}
-    for cat in list(EntityCategory):
+    for cat in EntityCategory:
         counted = [s.recall[cat] for s in samples if cat in s.recall and s.recall[cat].total != 0]
         if counted:
             recall[cat] = _summed(counted, RecallCount)
