@@ -5,10 +5,13 @@ the test suite use these to regenerate derived expectations from first
 principles: an exhaustive-table longest-block search for the similarity
 ratio, an all-alignments recursion and a full-table backtrace for edit
 distance, a character loop for normalization, and an every-candidate scan
-for the alignment. reference_report_json builds a whole JSON report as one
-dict and renders it with a generic writer, the reference for the report's
-fixed block templates; reference_record_json writes an `align` record's
-dict with json.dumps, the reference for the fixed record template.
+for the alignment. reference_sample scores a whole sample with them, the one
+reference pipeline: scripts/regen_expected.build_expected, run_selfcheck and
+the end-to-end test of evaluate_corpus all rest on it. reference_report_json
+builds a whole JSON report as one dict and renders it with a generic writer,
+the reference for the report's fixed block templates; reference_record_json
+writes an `align` record's dict with json.dumps, the reference for the fixed
+record template.
 """
 
 import json
@@ -235,6 +238,41 @@ def oracle_align(entity_text, hypothesis, threshold=0.5, max_n=3, mode="standard
         if best is None or key < best[0]:
             best = (key, OracleMatch(start, n, surface, cand, score))
     return None if best is None else best[1]
+
+
+class ReferenceSample(NamedTuple):
+    """One sample scored by the oracles; recall maps a category to (recalled, total)."""
+
+    alignment: list  # oracle_align's OracleMatch or None, per entity
+    exact: list
+    wer: tuple  # (substitutions, insertions, deletions, hits, ref_len), as are mwer and mcer
+    mwer: tuple
+    mcer: tuple
+    recall: dict
+
+
+def reference_sample(reference, hypothesis, entities, threshold=0.5, max_n=3, mode="standard"):
+    """Align every entity with oracle_align and score the sample with
+    reference_edit_counts: WER over the normalized words, M-WER and M-CER
+    over the joined non-empty entity texts and the joined matches, as words
+    and as characters. Recall counts the matches equal to their entity."""
+    targets = [reference_normalize(entity.text, mode) for entity in entities]
+    alignment = [oracle_align(entity.text, hypothesis, threshold, max_n, mode) for entity in entities]
+    exact = [match is not None and match.normalized == target for match, target in zip(alignment, targets)]
+    truth = " ".join(target for target in targets if target)
+    recovered = " ".join(match.normalized for match in alignment if match is not None)
+    recall = {}
+    for entity, hit in zip(entities, exact):
+        recalled, total = recall.get(entity.category, (0, 0))
+        recall[entity.category] = (recalled + hit, total + 1)
+
+    def counts(ref, hyp):
+        return (*reference_edit_counts(ref, hyp), len(ref))
+
+    return ReferenceSample(alignment, exact,
+                           counts(reference_normalize(reference, mode).split(),
+                                  reference_normalize(hypothesis, mode).split()),
+                           counts(truth.split(), recovered.split()), counts(truth, recovered), recall)
 
 
 def _reference_json(value, depth=0):

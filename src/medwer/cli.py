@@ -5,7 +5,6 @@ self-check failure.
 """
 
 import argparse
-import logging
 import sys
 
 from .align import DEFAULT_THRESHOLD
@@ -110,8 +109,6 @@ def cmd_selfcheck() -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s",
-                        stream=sys.stderr)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,9 +21,9 @@ rendering of _oracles.reference_report_json.
 import csv
 import io
 import json
-import logging
 import math
 import re
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -31,8 +31,6 @@ from pathlib import Path
 from .align import CATEGORIES, EntityAnnotation, EntityCategory
 from .metrics import CorpusMetrics, EditCounts, RecallCount, SampleMetrics
 from .textnorm import normalize
-
-log = logging.getLogger(__name__)
 
 REPORT_FORMATS = ("json", "csv", "table")
 
@@ -159,10 +157,11 @@ def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False,
                      normalization: str = "standard") -> dict[str, AnnotationSet]:
     """Read entity annotations and validate them against the manifest.
 
-    Annotations for ids absent from the manifest are skipped with a warning;
-    under strict mode they are rejected, and so is a manifest id with no
-    annotation record. Offset or category problems are always errors, and so
-    is an entity that normalizes to nothing under the run's normalization.
+    Annotations for ids absent from the manifest are skipped, each with a
+    WARNING line on stderr; under strict mode they are rejected, and so is a
+    manifest id with no annotation record. Offset or category problems are
+    always errors, and so is an entity that normalizes to nothing under the
+    run's normalization.
     """
     references = {p.id: p.reference for p in manifest}
     out: dict[str, AnnotationSet] = {}
@@ -181,7 +180,7 @@ def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False,
         if reference is None:
             if strict:
                 raise AnnotationError(f"{where}: annotation for unknown id {record_id!r}")
-            log.warning("%s: skipping annotation for unknown id %r", where, record_id)
+            print(f"WARNING {where}: skipping annotation for unknown id {record_id!r}", file=sys.stderr)
             continue
         if record_id in out:
             raise AnnotationError(f"{where}: duplicate annotation for id {record_id!r}")

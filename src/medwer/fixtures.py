@@ -3,9 +3,10 @@
 The golden corpus lives as ordinary manifest/annotation files under a
 versioned data directory, with an expected.json next to them. Every expected
 value carries a check tag: "golden" values are fixed by the curated
-sentences, "oracle" values are regenerated by the naive reference
-implementations on every self-check, "trivial" values follow from the
-definitions.
+sentences, "oracle" values come from _oracles.reference_sample and are
+recomputed by it on every self-check, "trivial" values follow from the
+definitions. The self-check holds the pipeline to two things per golden
+sample: the frozen expected.json and reference_sample.
 """
 
 import json
@@ -16,8 +17,8 @@ from pathlib import Path
 
 from . import align as _align
 from . import textnorm as _textnorm
-from ._oracles import dp_distance, naive_similarity, reference_edit_counts, reference_normalize
-from .align import EntityAnnotation, EntityCategory, med_text_align, recovered_sequence
+from ._oracles import reference_sample
+from .align import EntityAnnotation, EntityCategory, med_text_align
 from .corpus import AnnotationSet, TranscriptPair, load_annotations, load_manifest
 from .fuzzy import similarity_ratio
 from .metrics import medical_cer, medical_wer, wer
@@ -172,7 +173,12 @@ _TOL = 1e-12
 def run_selfcheck() -> bool:
     """Re-run the golden fixtures and oracle spot-checks; one line per group.
 
-    Returns True when everything passes.
+    Per golden sample the pipeline meets the frozen file in golden-alignment
+    (candidates, exact flags), oracle-scores and oracle-metrics ((errors,
+    ref_len)), and reference_sample in oracle-scores (its best candidate's
+    score, 0.0 for none) and oracle-metrics (S/I/D/hits). The identity and
+    empty-hypothesis groups check two of those samples against the
+    definitions. Returns True when everything passes.
     """
     failures = 0
 
@@ -209,38 +215,27 @@ def run_selfcheck() -> bool:
            and abs(similarity_ratio("digoxin", "dikod sin") - 0.625) <= _TOL,
            "similarity anchors drifted")
 
+    scored = {}  # id -> (aligned entities, metric -> counts)
     for pair in pairs:
         exp = expected["samples"][pair.id]
-        aligned = med_text_align(list(annotations[pair.id].entities), pair.hypothesis,
-                                 threshold, max_n)
+        entities = annotations[pair.id].entities
+        aligned = med_text_align(list(entities), pair.hypothesis, threshold, max_n)
+        oracle = reference_sample(pair.reference, pair.hypothesis, entities, threshold, max_n)
         got = [(ae.candidate.normalized if ae.candidate else None, ae.exact) for ae in aligned]
         want = [(e["candidate"], e["exact"]) for e in exp["alignment"]]
         report(f"golden-alignment[{pair.id}]", got == want, f"got={got} want={want}")
 
         ok, detail = True, ""
-        for ae, e in zip(aligned, exp["alignment"]):
-            if e["candidate"] is None:
-                if ae.score != 0.0 or e["score"] != 0.0:
-                    ok, detail = False, f"unmatched entity {e['entity']!r} must score 0"
-                continue
-            oracle = naive_similarity(reference_normalize(ae.entity.text), e["candidate"])
-            if abs(ae.score - e["score"]) > _TOL or abs(oracle - e["score"]) > _TOL:
+        for ae, e, match in zip(aligned, exp["alignment"], oracle.alignment):
+            best = 0.0 if match is None else match.score
+            if abs(ae.score - e["score"]) > _TOL or abs(best - e["score"]) > _TOL:
                 ok, detail = False, (f"entity {e['entity']!r}: frozen={e['score']} "
-                                     f"pipeline={ae.score} oracle={oracle}")
+                                     f"pipeline={ae.score} oracle={best}")
         report(f"oracle-scores[{pair.id}]", ok, detail)
 
-        gt = " ".join(t for t in (reference_normalize(ae.entity.text) for ae in aligned) if t)
-        rec = recovered_sequence(aligned)
-        observed = {
-            "wer": wer(pair.reference, pair.hypothesis),
-            "mwer": medical_wer(aligned),
-            "mcer": medical_cer(aligned),
-        }
-        oracle_inputs = {
-            "wer": (reference_normalize(pair.reference).split(), reference_normalize(pair.hypothesis).split()),
-            "mwer": (gt.split(), rec.split()),
-            "mcer": (gt, rec),
-        }
+        observed = {"wer": wer(pair.reference, pair.hypothesis), "mwer": medical_wer(aligned),
+                    "mcer": medical_cer(aligned)}
+        scored[pair.id] = aligned, observed
         ok, detail = True, ""
         for metric, counts in observed.items():
             frozen = exp[metric]
@@ -248,34 +243,21 @@ def run_selfcheck() -> bool:
                 ok, detail = False, (f"{metric}: pipeline {counts.errors}/{counts.ref_len}, "
                                      f"frozen {frozen['errors']}/{frozen['ref_len']}")
                 break
-            oracle_errors = dp_distance(*oracle_inputs[metric])
-            if counts.errors != oracle_errors:
-                ok, detail = False, f"{metric}: pipeline errors {counts.errors} != oracle {oracle_errors}"
-                break
             split = (counts.substitutions, counts.insertions, counts.deletions, counts.hits)
-            oracle_split = reference_edit_counts(*oracle_inputs[metric])
+            oracle_split = getattr(oracle, metric)[:4]
             if split != oracle_split:
                 ok, detail = False, f"{metric}: pipeline S/I/D/hits {split} != oracle {oracle_split}"
                 break
         report(f"oracle-metrics[{pair.id}]", ok, detail)
 
-    verbatim = next(p for p in pairs if p.reference == p.hypothesis)
-    aligned = med_text_align(list(annotations[verbatim.id].entities), verbatim.hypothesis,
-                             threshold, max_n)
+    aligned, observed = scored[next(p.id for p in pairs if p.reference == p.hypothesis)]
     report("identity-metrics",
-           wer(verbatim.reference, verbatim.hypothesis).errors == 0
-           and medical_wer(aligned).errors == 0
-           and medical_cer(aligned).errors == 0
-           and all(ae.exact for ae in aligned),
+           all(counts.errors == 0 for counts in observed.values()) and all(ae.exact for ae in aligned),
            "identical hypothesis must score zero everywhere")
 
-    empty = next(p for p in pairs if p.hypothesis == "")
-    aligned = med_text_align(list(annotations[empty.id].entities), "", threshold, max_n)
+    aligned, observed = scored[next(p.id for p in pairs if p.hypothesis == "")]
     report("empty-hypothesis-metrics",
-           wer(empty.reference, "").rate == 1.0
-           and medical_wer(aligned).rate == 1.0
-           and medical_cer(aligned).rate == 1.0
-           and not any(ae.exact for ae in aligned),
+           all(counts.rate == 1.0 for counts in observed.values()) and not any(ae.exact for ae in aligned),
            "empty hypothesis must score 1.0 everywhere")
 
     return failures == 0

@@ -16,8 +16,8 @@ json.dumps.
 """
 
 import json
-import logging
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -27,8 +27,6 @@ from .corpus import REPORT_FORMATS, AnnotationSet, TranscriptPair
 from .metrics import (CorpusMetrics, SampleMetrics, aggregate, entity_recall,
                       medical_cer, medical_wer, wer)
 from .textnorm import DEFAULT_MAX_NGRAM, NORMALIZATION_MODES, tokenize
-
-log = logging.getLogger(__name__)
 
 GROUP_KEYS = ("model", "accent", "domain")
 _QUOTE_TRIGGERS = frozenset(',="')
@@ -190,7 +188,8 @@ def evaluate_corpus(pairs: list[TranscriptPair], annotations: dict[str, Annotati
     """Score every sample and aggregate; returns (corpus, per-sample, groups).
 
     Samples without an annotation record are scored with zero entities and
-    show up in the skipped_zero_entity count.
+    show up in the skipped_zero_entity count. An INFO line on stderr counts
+    the entities that share a hypothesis span with another.
     """
     samples = []
     reused = 0
@@ -198,7 +197,8 @@ def evaluate_corpus(pairs: list[TranscriptPair], annotations: dict[str, Annotati
         samples += shard_samples
         reused += shard_reused
     if reused:
-        log.info("%d entities aligned to a hypothesis span shared with another entity", reused)
+        print(f"INFO {reused} entities aligned to a hypothesis span shared with another entity",
+              file=sys.stderr)
 
     groups: dict[str, CorpusMetrics] = {}
     if cfg.group_by:

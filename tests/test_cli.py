@@ -264,8 +264,9 @@ def test_every_public_name_resolves_and_is_listed_once():
 
 
 def test_importing_the_cli_loads_neither_the_selfcheck_nor_the_pool():
-    # evaluate and align pay for no module only selfcheck or --workers > 1 use
-    heavy = ("medwer.fixtures", "medwer._oracles", "multiprocessing")
+    # evaluate and align pay for no module only selfcheck or --workers > 1 use,
+    # nor for logging: the two diagnostics are plain lines on stderr
+    heavy = ("medwer.fixtures", "medwer._oracles", "multiprocessing", "logging")
     code = f"import sys, medwer.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(medwer.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -285,6 +286,23 @@ def test_a_run_imports_no_module_its_worker_count_does_not_use(golden_files, tmp
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "0 []"
+
+
+def test_diagnostics_go_to_stderr_as_two_fixed_lines(tmp_path):
+    # a subprocess: the bytes a user sees, whatever the test runner does to stderr
+    manifest = write_jsonl(tmp_path / "m.jsonl", [
+        {"id": "p1", "reference": "digoxin and digoxine", "hypothesis": "digoxin and"}])
+    annotations = write_jsonl(tmp_path / "a.jsonl", [
+        {"id": "p1", "entities": [{"text": "digoxin", "category": "MED", "begin": 0, "end": 7},
+                                  {"text": "digoxine", "category": "MED", "begin": 12, "end": 20}]},
+        {"id": "ghost", "entities": []}])
+    env = {**os.environ, "PYTHONPATH": str(Path(medwer.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "medwer.cli", "evaluate", "--manifest", str(manifest),
+                           "--annotations", str(annotations), "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stderr == (f"WARNING {annotations}:2: skipping annotation for unknown id 'ghost'\n"
+                           "INFO 2 entities aligned to a hypothesis span shared with another entity\n")
 
 
 def test_selfcheck_passes_on_pristine_build(capsys):

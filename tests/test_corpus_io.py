@@ -164,13 +164,12 @@ def test_load_annotations_unknown_category(tmp_path):
         load_annotations(path, manifest)
 
 
-def test_load_annotations_unknown_id_warns_then_skips(tmp_path, caplog):
+def test_load_annotations_unknown_id_warns_then_skips(tmp_path, capsys):
     manifest = _manifest(tmp_path)
     path = write_jsonl(tmp_path / "a.jsonl", [{"id": "ghost", "entities": []}])
-    with caplog.at_level("WARNING"):
-        annotations = load_annotations(path, manifest)
+    annotations = load_annotations(path, manifest)
     assert annotations == {}
-    assert "ghost" in caplog.text
+    assert capsys.readouterr().err == f"WARNING {path}:1: skipping annotation for unknown id 'ghost'\n"
 
 
 def test_load_annotations_unknown_id_strict(tmp_path):

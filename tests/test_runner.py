@@ -2,14 +2,14 @@ import json
 import os
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import dump_corpus
 from medwer import cli, runner
-from medwer._oracles import reference_record_json
+from medwer._oracles import reference_record_json, reference_sample
 from medwer.align import AlignedEntity, EntityAnnotation, EntityCategory
-from medwer.corpus import TranscriptPair, render_json, render_table
+from medwer.corpus import AnnotationSet, TranscriptPair, render_json, render_table
 from medwer.fixtures import load_golden, synthetic_corpus
 from medwer.fuzzy import similarity_ratio
 from medwer.metrics import aggregate
@@ -128,6 +128,95 @@ def test_worker_count_does_not_change_results(forks):
     pooled, samples_pooled, _ = evaluate_corpus(pairs, annotations, RunConfig(workers=3))
     assert samples_serial == samples_pooled
     assert serial.wer == pooled.wer and serial.mcer == pooled.mcer
+
+
+# letters with special case mappings (ß, final ς, dotted İ, the ﬁ ligature),
+# and chunks that are punctuation only or keep an inner hyphen or period
+_e2e_chunk = st.one_of(st.text("abéßσςİﬁ", min_size=1, max_size=5),
+                       st.sampled_from(["-", "...", "'", "(ß)", "a-b", "é."]))
+
+
+@st.composite
+def e2e_corpus(draw):
+    """1-4 samples and the run's knobs. Entities have exact offsets; some are
+    repeated or overlap, and some are punctuation only, which the loader
+    would reject but the joins must skip. Hypotheses may be empty, and some
+    samples have no annotation record."""
+    pairs, annotations = [], {}
+    for n in range(draw(st.integers(1, 4))):
+        words = draw(st.lists(_e2e_chunk, min_size=1, max_size=6))
+        spans = draw(st.lists(st.tuples(st.integers(0, len(words) - 1), st.integers(1, 3)),
+                              min_size=1, max_size=4))
+        entities = []
+        for start, length in spans:
+            text = " ".join(words[start:start + length])
+            begin = len(" ".join(words[:start])) + (1 if start else 0)
+            entities.append(EntityAnnotation(text, draw(st.sampled_from(list(EntityCategory))),
+                                             begin, begin + len(text)))
+        # a word, a word with a letter dropped or a chunk glued on (a close miss), any chunk
+        chunk = st.one_of(st.sampled_from(words), st.sampled_from(words).map(lambda w: w[1:] or w),
+                          st.sampled_from(words).map(lambda w: w[:-1] or w),
+                          st.tuples(st.sampled_from(words), _e2e_chunk).map("".join), _e2e_chunk)
+        hypothesis = " ".join(draw(st.lists(chunk, max_size=8)))
+        pairs.append(TranscriptPair(f"s{n}", " ".join(words), hypothesis))
+        if draw(st.sampled_from([True, True, True, False])):
+            entities.sort(key=lambda e: (e.begin, e.end))
+            annotations[f"s{n}"] = AnnotationSet(f"s{n}", tuple(entities))
+    knobs = {"normalization": draw(st.sampled_from(["standard", "raw"])),
+             "max_ngram": draw(st.integers(1, 3)), "threshold": draw(st.sampled_from([0.5, 0.8]))}
+    return pairs, annotations, knobs
+
+
+def _fields(counts):
+    return (counts.substitutions, counts.insertions, counts.deletions, counts.hits, counts.ref_len)
+
+
+def _column_sums(rows, width):
+    return tuple(sum(row[k] for row in rows) for k in range(width))
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corpus=e2e_corpus())
+# "abé" and "abσ" tie on score; the earlier start wins
+@example(corpus=([TranscriptPair("s0", "abéσ", "abé abσ")],
+                 {"s0": AnnotationSet("s0", (EntityAnnotation("abéσ", EntityCategory.MED, 0, 4),))},
+                 {"normalization": "standard", "max_ngram": 1, "threshold": 0.5}))
+def test_evaluate_and_align_corpus_equal_the_reference_pipeline(request, monkeypatch, workers, corpus):
+    if workers > 1:  # shard on a one-CPU host too, one child at a time
+        request.getfixturevalue("forks")
+        two_cpus(monkeypatch)
+    pairs, annotations, knobs = corpus
+    cfg = RunConfig(workers=workers, **knobs)
+    totals, samples, _ = evaluate_corpus(pairs, annotations, cfg)
+    records = [json.loads(line) for line in align_corpus(pairs, annotations, cfg).splitlines()]
+    oracles = []
+    for pair, sample in zip(pairs, samples, strict=True):
+        entities = annotations[pair.id].entities if pair.id in annotations else ()
+        oracle = reference_sample(pair.reference, pair.hypothesis, entities, knobs["threshold"],
+                                  knobs["max_ngram"], knobs["normalization"])
+        assert sample.sample_id == pair.id
+        assert _fields(sample.wer) == oracle.wer
+        assert _fields(sample.mwer) == oracle.mwer
+        assert _fields(sample.mcer) == oracle.mcer
+        assert {cat: (rc.recalled, rc.total) for cat, rc in sample.recall.items()} == oracle.recall
+        oracles.append(oracle)
+
+    # the pairs are in id order, as align_corpus writes them
+    assert [(r["candidate"] and r["candidate"]["normalized"], r["score"], r["exact"]) for r in records] == [
+        (match and match.normalized, match.score if match else 0.0, exact)
+        for o in oracles for match, exact in zip(o.alignment, o.exact)]
+
+    worded = [o for o in oracles if o.wer[4] > 0]
+    entitied = [o for o in oracles if o.mwer[4] > 0]
+    assert _fields(totals.wer) == _column_sums([o.wer for o in worded], 5)
+    assert _fields(totals.mwer) == _column_sums([o.mwer for o in entitied], 5)
+    assert _fields(totals.mcer) == _column_sums([o.mcer for o in entitied], 5)
+    assert (totals.samples, totals.skipped_zero_word, totals.skipped_zero_entity) == (
+        len(oracles), len(oracles) - len(worded), len(oracles) - len(entitied))
+    categories = {cat for o in oracles for cat in o.recall}
+    assert {cat: (rc.recalled, rc.total) for cat, rc in totals.recall.items()} == {
+        cat: _column_sums([o.recall[cat] for o in oracles if cat in o.recall], 2) for cat in categories}
 
 
 def test_evaluate_sample_shape():
