@@ -36,6 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .fuzzy import similarity_ratio
 from .textnorm import DEFAULT_MAX_NGRAM, CandidateSpan, TokenSequence, ngrams, normalize, tokenize
@@ -59,6 +60,7 @@ class EntityCategory(str, Enum):
 CATEGORIES = tuple(EntityCategory)  # report order; a tuple iterates faster than the enum
 
 
+# A dataclass, not a tuple: perfbench/corpora.py copies it with dataclasses.replace.
 @dataclass(frozen=True)
 class EntityAnnotation:
     """One ground-truth entity with [begin, end) offsets into the reference."""
@@ -69,8 +71,7 @@ class EntityAnnotation:
     end: int
 
 
-@dataclass(frozen=True)
-class AlignedEntity:
+class AlignedEntity(NamedTuple):
     """Alignment result for one entity.
 
     candidate is None when nothing reached the threshold; then score is 0.

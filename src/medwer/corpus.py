@@ -62,6 +62,7 @@ class AnnotationError(IngestionError):
     pass
 
 
+# A dataclass, not a tuple: perfbench/corpora.py copies it with dataclasses.replace.
 @dataclass(frozen=True)
 class TranscriptPair:
     """One evaluation sample: reference transcript and ASR hypothesis."""
@@ -74,6 +75,7 @@ class TranscriptPair:
     model: str | None = None
 
 
+# A dataclass, not a tuple: perfbench/corpora.py copies it with dataclasses.replace.
 @dataclass(frozen=True)
 class AnnotationSet:
     id: str

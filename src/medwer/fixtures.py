@@ -18,10 +18,10 @@ from pathlib import Path
 from . import align as _align
 from . import textnorm as _textnorm
 from ._oracles import reference_sample
-from .align import EntityAnnotation, EntityCategory, med_text_align
+from .align import EntityAnnotation, EntityCategory
 from .corpus import AnnotationSet, TranscriptPair, load_annotations, load_manifest
 from .fuzzy import similarity_ratio
-from .metrics import medical_cer, medical_wer, wer
+from .runner import RunConfig, _eval_task
 
 DATA_VERSION = "v1"
 
@@ -173,7 +173,8 @@ _TOL = 1e-12
 def run_selfcheck() -> bool:
     """Re-run the golden fixtures and oracle spot-checks; one line per group.
 
-    Per golden sample the pipeline meets the frozen file in golden-alignment
+    Each golden sample is scored by runner._eval_task, the per-sample step
+    that evaluate runs, and meets the frozen file in golden-alignment
     (candidates, exact flags), oracle-scores and oracle-metrics ((errors,
     ref_len)), and reference_sample in oracle-scores (its best candidate's
     score, 0.0 for none) and oracle-metrics (S/I/D/hits). The identity and
@@ -215,12 +216,13 @@ def run_selfcheck() -> bool:
            and abs(similarity_ratio("digoxin", "dikod sin") - 0.625) <= _TOL,
            "similarity anchors drifted")
 
+    cfg = RunConfig(threshold=threshold, max_ngram=max_n)
     scored = {}  # id -> (aligned entities, metric -> counts)
     for pair in pairs:
         exp = expected["samples"][pair.id]
-        entities = annotations[pair.id].entities
-        aligned = med_text_align(list(entities), pair.hypothesis, threshold, max_n)
-        oracle = reference_sample(pair.reference, pair.hypothesis, entities, threshold, max_n)
+        aligned, sample = _eval_task(pair, annotations, cfg, True)
+        oracle = reference_sample(pair.reference, pair.hypothesis, annotations[pair.id].entities,
+                                  threshold, max_n)
         got = [(ae.candidate.normalized if ae.candidate else None, ae.exact) for ae in aligned]
         want = [(e["candidate"], e["exact"]) for e in exp["alignment"]]
         report(f"golden-alignment[{pair.id}]", got == want, f"got={got} want={want}")
@@ -233,8 +235,7 @@ def run_selfcheck() -> bool:
                                      f"pipeline={ae.score} oracle={best}")
         report(f"oracle-scores[{pair.id}]", ok, detail)
 
-        observed = {"wer": wer(pair.reference, pair.hypothesis), "mwer": medical_wer(aligned),
-                    "mcer": medical_cer(aligned)}
+        observed = {"wer": sample.wer, "mwer": sample.mwer, "mcer": sample.mcer}
         scored[pair.id] = aligned, observed
         ok, detail = True, ""
         for metric, counts in observed.items():
@@ -243,8 +244,7 @@ def run_selfcheck() -> bool:
                 ok, detail = False, (f"{metric}: pipeline {counts.errors}/{counts.ref_len}, "
                                      f"frozen {frozen['errors']}/{frozen['ref_len']}")
                 break
-            split = (counts.substitutions, counts.insertions, counts.deletions, counts.hits)
-            oracle_split = getattr(oracle, metric)[:4]
+            split, oracle_split = counts[:4], getattr(oracle, metric)[:4]
             if split != oracle_split:
                 ok, detail = False, f"{metric}: pipeline S/I/D/hits {split} != oracle {oracle_split}"
                 break

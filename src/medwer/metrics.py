@@ -5,22 +5,22 @@ medical CER compare the concatenation of ground-truth entity strings against
 the concatenation of their aligned counterparts, at word and character level
 respectively. Recall counts exact matches per entity category.
 
-Corpus aggregation is micro (summed counts, rates derived from the sums);
-macro means over per-sample rates are reported alongside, clearly labelled.
-Samples with an empty reference side are excluded from the corresponding
-metric and reported as skipped.
+The records are tuples with named fields, so `+` concatenates them rather
+than adding counts: corpus counts are the column sums that `aggregate`
+takes. Corpus aggregation is micro (summed counts, rates derived from the
+sums); macro means over per-sample rates are reported alongside, clearly
+labelled. Samples with an empty reference side are excluded from the
+corresponding metric and reported as skipped.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .align import CATEGORIES, AlignedEntity, EntityCategory, ground_truth_sequence, recovered_sequence
 from .textnorm import TokenSequence, tokenize
 
 
-@dataclass(frozen=True)
-class EditCounts:
+class EditCounts(NamedTuple):
     """Raw edit operations of one comparison. hits + S + D == ref_len."""
 
     substitutions: int = 0
@@ -40,18 +40,8 @@ class EditCounts:
             return math.nan
         return self.errors / self.ref_len
 
-    def __add__(self, other: "EditCounts") -> "EditCounts":
-        return EditCounts(
-            self.substitutions + other.substitutions,
-            self.insertions + other.insertions,
-            self.deletions + other.deletions,
-            self.hits + other.hits,
-            self.ref_len + other.ref_len,
-        )
 
-
-@dataclass(frozen=True)
-class RecallCount:
+class RecallCount(NamedTuple):
     recalled: int = 0
     total: int = 0
 
@@ -61,12 +51,8 @@ class RecallCount:
             return math.nan
         return self.recalled / self.total
 
-    def __add__(self, other: "RecallCount") -> "RecallCount":
-        return RecallCount(self.recalled + other.recalled, self.total + other.total)
 
-
-@dataclass
-class SampleMetrics:
+class SampleMetrics(NamedTuple):
     sample_id: str
     wer: EditCounts
     mwer: EditCounts
@@ -74,21 +60,20 @@ class SampleMetrics:
     recall: dict[EntityCategory, RecallCount]
 
 
-@dataclass
-class CorpusMetrics:
+class CorpusMetrics(NamedTuple):
     """Micro-summed counts plus macro means across samples."""
 
-    wer: EditCounts = field(default_factory=EditCounts)
-    mwer: EditCounts = field(default_factory=EditCounts)
-    mcer: EditCounts = field(default_factory=EditCounts)
-    recall: dict[EntityCategory, RecallCount] = field(default_factory=dict)
-    samples: int = 0
-    skipped_zero_entity: int = 0
-    skipped_zero_word: int = 0
-    macro_wer: float = math.nan
-    macro_mwer: float = math.nan
-    macro_mcer: float = math.nan
-    macro_recall: dict[EntityCategory, float] = field(default_factory=dict)
+    wer: EditCounts
+    mwer: EditCounts
+    mcer: EditCounts
+    recall: dict[EntityCategory, RecallCount]
+    samples: int
+    skipped_zero_entity: int
+    skipped_zero_word: int
+    macro_wer: float
+    macro_mwer: float
+    macro_mcer: float
+    macro_recall: dict[EntityCategory, float]
 
 
 def edit_distance(ref: Sequence, hyp: Sequence) -> EditCounts:
@@ -225,9 +210,9 @@ def _mean(values: list[float]) -> float:
 def aggregate(samples: list[SampleMetrics]) -> CorpusMetrics:
     """Micro-sum counts across samples and derive macro means.
 
-    Order-independent: counts are integer sums and macro means use exact
-    summation, so any partition or permutation of samples reduces to the
-    same result.
+    Order-independent: counts are integer column sums and macro means use
+    exact summation, so any partition or permutation of samples reduces to
+    the same result. An empty list gives the zero record.
     """
     worded = [s for s in samples if s.wer.ref_len > 0]
     entitied = [s for s in samples if s.mwer.ref_len > 0]  # M-CER follows M-WER
@@ -237,10 +222,10 @@ def aggregate(samples: list[SampleMetrics]) -> CorpusMetrics:
             if rc.total > 0:
                 recall[cat].append(rc)
     return CorpusMetrics(
-        wer=sum((s.wer for s in worded), EditCounts()),
-        mwer=sum((s.mwer for s in entitied), EditCounts()),
-        mcer=sum((s.mcer for s in entitied), EditCounts()),
-        recall={cat: sum(counted, RecallCount()) for cat, counted in recall.items() if counted},
+        wer=EditCounts(*map(sum, zip(*(s.wer for s in worded)))),
+        mwer=EditCounts(*map(sum, zip(*(s.mwer for s in entitied)))),
+        mcer=EditCounts(*map(sum, zip(*(s.mcer for s in entitied)))),
+        recall={cat: RecallCount(*map(sum, zip(*counted))) for cat, counted in recall.items() if counted},
         samples=len(samples),
         skipped_zero_entity=len(samples) - len(entitied),
         skipped_zero_word=len(samples) - len(worded),

@@ -32,6 +32,7 @@ GROUP_KEYS = ("model", "accent", "domain")
 _QUOTE_TRIGGERS = frozenset(',="')
 
 
+# A dataclass, not a tuple: __post_init__ validates it when it is constructed.
 @dataclass
 class RunConfig:
     """Knobs for one evaluation run; defaults follow the standard recipe

@@ -15,6 +15,7 @@ needs to score a string once and rebuild its span.
 
 import unicodedata
 from dataclasses import dataclass
+from typing import NamedTuple
 
 NORMALIZATION_MODES = ("standard", "raw")
 
@@ -23,6 +24,7 @@ DEFAULT_MAX_NGRAM = 3
 _KEEP_FLANKED = frozenset("-'.")
 
 
+# A dataclass, not a tuple: its len() is the token count, which perfbench/traced.py reads.
 @dataclass(frozen=True)
 class TokenSequence:
     """The tokens of one text: surfaces[i] is a whitespace-delimited chunk
@@ -35,8 +37,7 @@ class TokenSequence:
         return len(self.words)
 
 
-@dataclass(frozen=True)
-class CandidateSpan:
+class CandidateSpan(NamedTuple):
     """A contiguous run of tokens, with surfaces and normalized forms
     joined by single spaces."""
 

@@ -439,7 +439,7 @@ _config = st.fixed_dictionaries({"threshold": st.floats(0.01, 1), "max_ngram": s
 
 @given(_sample_metrics)
 def test_per_sample_row_template_matches_the_generic_rendering(sample):
-    report = reference_report_json(CorpusMetrics(), [sample], None, None)
+    report = reference_report_json(aggregate([]), [sample], None, None)
     assert report.endswith(f'  "per_sample": [\n{_sample_json(sample)}\n  ]\n}}\n')
 
 
@@ -459,7 +459,7 @@ def test_render_json_matches_the_generic_rendering(samples, corpus, groups, conf
 
 def test_a_category_missing_from_macro_recall_renders_null():
     recall = {EntityCategory.MED: RecallCount(1, 2), EntityCategory.PHI: RecallCount(0, 1)}
-    corpus = CorpusMetrics(recall=recall, macro_recall={EntityCategory.MED: 0.5})
+    corpus = aggregate([])._replace(recall=recall, macro_recall={EntityCategory.MED: 0.5})
     doc = json.loads(render_json(corpus, None, None, {"g": corpus}))
     for block in (doc["corpus"], doc["groups"]["g"]):
         assert block["recall"]["MED"]["macro_rate"] == 0.5

@@ -31,9 +31,10 @@ def test_edit_counts_rate_and_errors():
     assert math.isnan(EditCounts().rate)
 
 
-def test_edit_counts_addition():
-    total = EditCounts(1, 0, 1, 2, 4) + EditCounts(0, 2, 0, 3, 3)
-    assert total == EditCounts(1, 2, 1, 5, 7)
+def test_corpus_counts_are_column_sums():
+    corpus = aggregate([SampleMetrics("a", EditCounts(1, 0, 1, 2, 4), EditCounts(), EditCounts(), {}),
+                        SampleMetrics("b", EditCounts(0, 2, 0, 3, 3), EditCounts(), EditCounts(), {})])
+    assert corpus.wer == (1, 2, 1, 5, 7)
 
 
 def test_edit_distance_identity():
@@ -311,7 +312,7 @@ def sample_metrics(draw, n):
 
 
 def _summed(counts, cls):
-    return cls(*(sum(getattr(c, name) for c in counts) for name in cls.__dataclass_fields__))
+    return cls(*(sum(getattr(c, name) for c in counts) for name in cls._fields))
 
 
 def _macro(rates):
