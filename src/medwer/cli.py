@@ -1,5 +1,8 @@
 """Command-line front end: evaluate | align | selfcheck.
 
+Every report and every align record is written as UTF-8, whatever the
+locale: the bytes on stdout are the bytes --out would hold.
+
 Exit codes: 0 success, 1 usage error, 2 ingestion or I/O error, 3 fixture or
 self-check failure.
 """
@@ -8,7 +11,8 @@ import argparse
 import sys
 
 from .align import DEFAULT_THRESHOLD
-from .corpus import REPORT_FORMATS, IngestionError, load_annotations, load_manifest, write_report
+from .corpus import (REPORT_FORMATS, IngestionError, load_annotations, load_manifest, write_output,
+                     write_report)
 from .runner import GROUP_KEYS, RunConfig, align_corpus, evaluate_corpus
 from .textnorm import DEFAULT_MAX_NGRAM, NORMALIZATION_MODES
 
@@ -50,7 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "one per usable CPU; this process scores the first range and "
                              "POSIX-forks one child per other range, and the run is serial "
                              "where there is no fork. Results do not depend on it (default 1)")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
+    common.add_argument("--out", default=None,
+                        help="output path; the output is UTF-8, the same bytes as on stdout "
+                             "(default stdout)")
 
     evaluate = sub.add_parser("evaluate", parents=[common],
                               help="run alignment and all metrics, write a report")
@@ -70,42 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    fields = {key: value for key, value in vars(args).items() if key != "command"}
+    fields = {key: value for key, value in vars(args).items()
+              if key not in ("command", "manifest", "annotations", "strict", "out")}
     raw = fields.pop("group_by", None)
     if raw:
         fields["group_by"] = tuple(key.strip() for key in raw.split(",") if key.strip())
     return RunConfig(**fields)
-
-
-def _load_corpus(cfg: RunConfig):
-    pairs = load_manifest(cfg.manifest)
-    return pairs, load_annotations(cfg.annotations, pairs, strict=cfg.strict, normalization=cfg.normalization)
-
-
-def cmd_evaluate(cfg: RunConfig) -> int:
-    pairs, annotations = _load_corpus(cfg)
-    corpus, samples, groups = evaluate_corpus(pairs, annotations, cfg)
-    write_report(corpus, samples if cfg.per_sample else None, cfg.fmt,
-                 sys.stdout if cfg.out is None else cfg.out,
-                 config=cfg.config_dict(), groups=groups or None)
-    return EXIT_OK
-
-
-def cmd_align(cfg: RunConfig) -> int:
-    pairs, annotations = _load_corpus(cfg)
-    lines = align_corpus(pairs, annotations, cfg)
-    if cfg.out is None:
-        sys.stdout.write(lines)
-    else:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
-            handle.write(lines)
-    return EXIT_OK
-
-
-def cmd_selfcheck() -> int:
-    # the fixtures and oracles load only for selfcheck, not on every run
-    from .fixtures import run_selfcheck
-    return EXIT_OK if run_selfcheck() else EXIT_SELFCHECK
 
 
 def main(argv=None) -> int:
@@ -116,7 +92,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
 
     if args.command == "selfcheck":
-        return cmd_selfcheck()
+        # the fixtures and oracles load only for selfcheck, not on every run
+        from .fixtures import run_selfcheck
+        return EXIT_OK if run_selfcheck() else EXIT_SELFCHECK
 
     try:
         cfg = _run_config(args)
@@ -125,12 +103,19 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
+        pairs = load_manifest(args.manifest)
+        annotations = load_annotations(args.annotations, pairs, strict=args.strict,
+                                       normalization=cfg.normalization)
         if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        return cmd_align(cfg)
+            corpus, samples, groups = evaluate_corpus(pairs, annotations, cfg)
+            write_report(corpus, samples if cfg.per_sample else None, cfg.fmt, args.out,
+                         config=cfg.config_dict(), groups=groups or None)
+        else:
+            write_output(align_corpus(pairs, annotations, cfg), args.out)
     except (IngestionError, OSError) as e:
         print(f"medwer: error: {e}", file=sys.stderr)
         return EXIT_INGESTION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

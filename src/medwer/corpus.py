@@ -11,9 +11,10 @@ surrogate is rejected: it is not Unicode text, and no report could be
 written from it.
 
 Reports are written as json, csv, or a human-readable table; nothing reads
-them back. Output is byte-identical for identical inputs: field order is
-fixed and every rate is rendered with four decimals (half-even, via standard
-float formatting). Every block of a json report (config, corpus, groups and
+them back. Output is byte-identical for identical inputs, wherever it goes:
+it is written as UTF-8 to a file or to stdout alike, field order is fixed
+and every rate is rendered with four decimals (half-even, via standard float
+formatting). Every block of a json report (config, corpus, groups and
 per_sample rows) comes from fixed templates, checked against the generic
 rendering of _oracles.reference_report_json.
 """
@@ -112,15 +113,7 @@ def _iter_jsonl(path, kind: str, err: type[IngestionError]):
             raise err(f"cannot read {kind} {path}: not UTF-8 text ({e.reason})") from e
 
 
-# What dict.get returns for a missing field; JSON cannot produce it.
-_MISSING = object()
 _BY_OFFSETS = attrgetter("begin", "end")
-
-
-def _missing(record: dict, keys: tuple[str, ...], where: str, err: type[IngestionError]):
-    """Raise for the first of keys that record lacks."""
-    key = next(k for k in keys if k not in record)
-    raise err(f"{where}: missing required field {key!r}")
 
 
 def load_manifest(path) -> list[TranscriptPair]:
@@ -131,17 +124,17 @@ def load_manifest(path) -> list[TranscriptPair]:
     for lineno, record in _iter_jsonl(path, "manifest", ManifestError):
         where = f"{path}:{lineno}"
         # JSON yields exact types, so type() tests stand for isinstance()
-        get = record.get
-        pid, reference, hypothesis = get("id", _MISSING), get("reference", _MISSING), get("hypothesis", _MISSING)
-        if pid is _MISSING or reference is _MISSING or hypothesis is _MISSING:
-            _missing(record, ("id", "reference", "hypothesis"), where, ManifestError)
+        try:
+            pid, reference, hypothesis = record["id"], record["reference"], record["hypothesis"]
+        except KeyError as e:
+            raise ManifestError(f"{where}: missing required field {e.args[0]!r}") from None
         if type(pid) is not str or not pid:
             raise ManifestError(f"{where}: field 'id' must be a non-empty string")
         if type(reference) is not str or not reference:
             raise ManifestError(f"{where}: field 'reference' must be a non-empty string")
         if type(hypothesis) is not str:
             raise ManifestError(f"{where}: field 'hypothesis' must be a string")
-        accent, domain, model = get("accent"), get("domain"), get("model")
+        accent, domain, model = record.get("accent"), record.get("domain"), record.get("model")
         for key, value in (("accent", accent), ("domain", domain), ("model", model)):
             if value is not None and type(value) is not str:
                 raise ManifestError(f"{where}: field {key!r} must be a string when present")
@@ -170,14 +163,13 @@ def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False,
     kept: set[str] = set()  # entity texts seen to normalize to something
     for lineno, record in _iter_jsonl(path, "annotations", AnnotationError):
         where = f"{path}:{lineno}"
-        record_id = record.get("id", _MISSING)
-        if record_id is _MISSING:
-            raise AnnotationError(f"{where}: missing required field 'id'")
-        if type(record_id) is not str:
-            raise AnnotationError(f"{where}: field 'id' must be a string, got {type(record_id).__name__}")
-        raw_entities = record.get("entities", _MISSING)
-        if raw_entities is _MISSING:
-            raise AnnotationError(f"{where}: missing required field 'entities'")
+        try:
+            record_id = record["id"]
+            if type(record_id) is not str:
+                raise AnnotationError(f"{where}: field 'id' must be a string, got {type(record_id).__name__}")
+            raw_entities = record["entities"]
+        except KeyError as e:
+            raise AnnotationError(f"{where}: missing required field {e.args[0]!r}") from None
         reference = references.get(record_id)
         if reference is None:
             if strict:
@@ -192,11 +184,10 @@ def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False,
         for raw in raw_entities:
             if type(raw) is not dict:
                 raise AnnotationError(f"{where}: each entity must be an object, got {type(raw).__name__}")
-            get = raw.get
-            text, label, begin, end = get("text", _MISSING), get("category", _MISSING), \
-                get("begin", _MISSING), get("end", _MISSING)
-            if text is _MISSING or label is _MISSING or begin is _MISSING or end is _MISSING:
-                _missing(raw, ("text", "category", "begin", "end"), where, AnnotationError)
+            try:
+                text, label, begin, end = raw["text"], raw["category"], raw["begin"], raw["end"]
+            except KeyError as e:
+                raise AnnotationError(f"{where}: missing required field {e.args[0]!r}") from None
             if type(text) is not str or type(label) is not str:
                 raise AnnotationError(f"{where}: entity 'text' and 'category' must be strings")
             if type(begin) is not int or type(end) is not int:
@@ -216,7 +207,7 @@ def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False,
                 if not normalize(text, normalization):
                     raise AnnotationError(f"{where}: entity {text!r} for id {record_id!r} normalizes to nothing")
                 kept.add(text)
-            score = get("score")
+            score = raw.get("score")
             if score is not None and (type(score) is not int and type(score) is not float
                                       or not 0 <= score <= 1):
                 raise AnnotationError(f"{where}: entity score must be a number in [0, 1]")
@@ -357,10 +348,22 @@ def render_table(corpus: CorpusMetrics, groups: dict[str, CorpusMetrics] | None)
     return "\n".join(lines) + "\n"
 
 
+def write_output(text: str, path) -> None:
+    """Write a command's output as UTF-8 to the file at path, or to stdout when
+    path is None; the bytes are the same either way."""
+    data = text.encode("utf-8")
+    if path is None:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+    else:
+        Path(path).write_bytes(data)
+
+
 def write_report(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None,
                  fmt: str, path, config: dict | None = None,
                  groups: dict[str, CorpusMetrics] | None = None) -> None:
-    """Render and write a report; path may be a filesystem path or a text stream."""
+    """Render a report and write it through write_output: to the file at path,
+    or to stdout when path is None."""
     if fmt == "json":
         text = render_json(corpus, per_sample, config, groups)
     elif fmt == "csv":
@@ -369,7 +372,4 @@ def write_report(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None,
         text = render_table(corpus, groups)
     else:
         raise ValueError(f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}")
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+    write_output(text, path)

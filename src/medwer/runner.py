@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 from .align import DEFAULT_THRESHOLD, AlignedEntity, med_text_align, shared_span_count
@@ -35,19 +34,18 @@ _QUOTE_TRIGGERS = frozenset(',="')
 # A dataclass, not a tuple: __post_init__ validates it when it is constructed.
 @dataclass
 class RunConfig:
-    """Knobs for one evaluation run; defaults follow the standard recipe
-    (cutoff 0.5, trigram candidates, standard normalization)."""
+    """Knobs for one evaluation run: how samples are scored, how the report is
+    shaped, and how many workers score them. Defaults follow the standard
+    recipe (cutoff 0.5, trigram candidates, standard normalization). The
+    input and output files and the strict flag stay with the CLI, which
+    hands them to the loaders and the writer."""
 
-    manifest: Path | str | None = None
-    annotations: Path | str | None = None
     threshold: float = DEFAULT_THRESHOLD
     max_ngram: int = DEFAULT_MAX_NGRAM
     normalization: str = "standard"
-    out: Path | str | None = None
     fmt: str = "json"
     per_sample: bool = False
     group_by: tuple[str, ...] = ()
-    strict: bool = False
     workers: int = 1
 
     def __post_init__(self):

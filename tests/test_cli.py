@@ -255,7 +255,7 @@ def test_missing_required_flag_is_a_usage_error(capsys):
 @pytest.mark.parametrize("command", ["evaluate", "align"])
 def test_cli_defaults_are_the_run_config_defaults(command):
     args = cli.build_parser().parse_args([command, "--manifest", "m", "--annotations", "a"])
-    assert cli._run_config(args) == RunConfig(manifest="m", annotations="a")
+    assert cli._run_config(args) == RunConfig()
 
 
 def test_every_public_name_resolves_and_is_listed_once():
@@ -305,6 +305,26 @@ def test_diagnostics_go_to_stderr_as_two_fixed_lines(tmp_path):
                            "INFO 2 entities aligned to a hypothesis span shared with another entity\n")
 
 
+@pytest.mark.parametrize("flags", [["--format", "csv", "--per-sample"],
+                                   ["--format", "table", "--group-by", "model"]], ids=["csv", "table"])
+def test_stdout_gets_the_utf8_bytes_of_out_whatever_the_locale(tmp_path, flags):
+    # a subprocess under an ASCII stdout, as on a console whose code page
+    # cannot encode the report's non-ASCII sample id or model name
+    manifest = write_jsonl(tmp_path / "m.jsonl", [
+        {"id": "sé", "reference": "digoxin daily", "hypothesis": "digoxine daily", "model": "mé"}])
+    annotations = write_jsonl(tmp_path / "a.jsonl", [
+        {"id": "sé", "entities": [{"text": "digoxin", "category": "MED", "begin": 0, "end": 7}]}])
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "medwer.cli", "evaluate", "--manifest", str(manifest),
+            "--annotations", str(annotations), *flags]
+    env = {**os.environ, "PYTHONPATH": str(Path(medwer.__file__).parents[1]), "PYTHONIOENCODING": "ascii"}
+    to_file = subprocess.run([*argv, "--out", str(out)], env=env, capture_output=True)
+    to_stdout = subprocess.run(argv, env=env, capture_output=True)
+    assert (to_file.returncode, to_stdout.returncode, to_stdout.stderr) == (0, 0, b"")
+    assert "é".encode("utf-8") in out.read_bytes()
+    assert to_stdout.stdout == out.read_bytes()
+
+
 def test_selfcheck_passes_on_pristine_build(capsys):
     assert cli.main(["selfcheck"]) == 0
     out = capsys.readouterr().out
@@ -341,8 +361,9 @@ def test_selfcheck_reports_missing_fixture_file(monkeypatch, capsys):
     assert "missing fixture file" in out
 
 
-def test_unwritable_output_path_exits_two(golden_files, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["evaluate", "align"])
+def test_unwritable_output_path_exits_two(golden_files, tmp_path, capsys, command):
     manifest, annotations = golden_files
-    code = cli.main(["evaluate", "--manifest", str(manifest), "--annotations", str(annotations),
+    code = cli.main([command, "--manifest", str(manifest), "--annotations", str(annotations),
                      "--out", str(tmp_path / "no_such_dir" / "r.json")])
     assert code == cli.EXIT_INGESTION

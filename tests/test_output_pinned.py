@@ -1,8 +1,9 @@
 """The bytes of every `evaluate` report mode and of `align`, pinned by digest.
 
-A change that is meant to keep the output identical (a faster path, a
-refactor) must keep these digests. A change that means to alter the output
-states so and updates them.
+Each digest holds for the --out file and for stdout alike. A change that is
+meant to keep the output identical (a faster path, a refactor) must keep
+these digests. A change that means to alter the output states so and
+updates them.
 """
 
 import dataclasses
@@ -70,11 +71,20 @@ def corpora(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("corpus, command", sorted(_DIGESTS))
-def test_output_bytes_are_pinned(corpora, tmp_path, corpus, command):
+# The --out cases keep the ids they had before stdout was pinned too.
+@pytest.mark.parametrize("corpus, command, destination", [
+    pytest.param(corpus, command, destination,
+                 id=f"{corpus}-{command}" + ("-stdout" if destination == "stdout" else ""))
+    for corpus, command in sorted(_DIGESTS) for destination in ("out", "stdout")])
+def test_output_bytes_are_pinned(corpora, tmp_path, capsysbinary, corpus, command, destination):
     manifest, annotations = corpora[corpus]
     out = tmp_path / "out"
     argv = _COMMANDS[command]
+    flags = ["--out", str(out)] if destination == "out" else []
     assert cli.main([*argv[:1], "--manifest", str(manifest), "--annotations", str(annotations),
-                     "--out", str(out), *argv[1:]]) == cli.EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == _DIGESTS[corpus, command]
+                     *flags, *argv[1:]]) == cli.EXIT_OK
+    written = capsysbinary.readouterr().out
+    if destination == "out":
+        assert written == b""
+        written = out.read_bytes()
+    assert hashlib.sha256(written).hexdigest() == _DIGESTS[corpus, command]
