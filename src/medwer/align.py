@@ -33,6 +33,7 @@ sample reuses its first result.
 
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
@@ -86,15 +87,15 @@ class AlignedEntity(NamedTuple):
     target: str
 
 
-def med_text_align(entities: list[EntityAnnotation], hypothesis: str | TokenSequence,
+def med_text_align(entities: Sequence[EntityAnnotation], hypothesis: str | TokenSequence,
                    threshold: float = DEFAULT_THRESHOLD,
                    max_n: int = DEFAULT_MAX_NGRAM,
                    mode: str = "standard") -> list[AlignedEntity]:
     """Align each entity to its closest hypothesis n-gram.
 
-    entities must be sorted by begin offset; output order equals input order.
-    Matching operates on normalized strings on both sides. hypothesis is
-    either the text or its TokenSequence, tokenized under the same mode.
+    entities is any sequence sorted by begin offset; output order equals input
+    order. Matching operates on normalized strings on both sides. hypothesis
+    is either the text or its TokenSequence, tokenized under the same mode.
     """
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")

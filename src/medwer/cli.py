@@ -79,8 +79,10 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     fields = {key: value for key, value in vars(args).items()
               if key not in ("command", "manifest", "annotations", "strict", "out")}
     raw = fields.pop("group_by", None)
-    if raw:
+    if raw is not None:
         fields["group_by"] = tuple(key.strip() for key in raw.split(",") if key.strip())
+        if not fields["group_by"]:
+            raise ValueError(f"group-by {raw!r} names no key; expected a subset of {GROUP_KEYS}")
     return RunConfig(**fields)
 
 
@@ -109,7 +111,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             corpus, samples, groups = evaluate_corpus(pairs, annotations, cfg)
             write_report(corpus, samples if cfg.per_sample else None, cfg.fmt, args.out,
-                         config=cfg.config_dict(), groups=groups or None)
+                         config=cfg.config_dict(), groups=groups)
         else:
             write_output(align_corpus(pairs, annotations, cfg), args.out)
     except (IngestionError, OSError) as e:

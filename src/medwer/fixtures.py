@@ -36,9 +36,10 @@ def fixture_path(name: str) -> Path:
 
 
 def load_golden() -> tuple[list[TranscriptPair], dict[str, AnnotationSet]]:
-    """The embedded golden corpus as (pairs, annotations)."""
+    """The embedded golden corpus as (pairs, annotations), loaded strictly:
+    every sample must have an annotation record."""
     pairs = load_manifest(fixture_path("manifest.jsonl"))
-    return pairs, load_annotations(fixture_path("annotations.jsonl"), pairs)
+    return pairs, load_annotations(fixture_path("annotations.jsonl"), pairs, strict=True)
 
 
 def load_expected() -> dict:
@@ -170,6 +171,18 @@ def synthetic_corpus(n_samples: int, seed: int = 0, tokens_per_sample: int = 30,
 _TOL = 1e-12
 
 
+def _check_golden(pairs: list[TranscriptPair], expected: dict) -> None:
+    """Raise ValueError when the manifest and expected.json name different
+    samples, or when the identity or empty-hypothesis group has no pair."""
+    unmatched = sorted({p.id for p in pairs} ^ set(expected["samples"]))
+    if unmatched:
+        raise ValueError(f"sample id(s) in only one of the manifest and expected.json: {', '.join(unmatched)}")
+    if not any(p.reference == p.hypothesis for p in pairs):
+        raise ValueError("no golden pair has a hypothesis equal to its reference")
+    if not any(p.hypothesis == "" for p in pairs):
+        raise ValueError("no golden pair has an empty hypothesis")
+
+
 def run_selfcheck() -> bool:
     """Re-run the golden fixtures and oracle spot-checks; one line per group.
 
@@ -179,7 +192,8 @@ def run_selfcheck() -> bool:
     ref_len)), and reference_sample in oracle-scores (its best candidate's
     score, 0.0 for none) and oracle-metrics (S/I/D/hits). The identity and
     empty-hypothesis groups check two of those samples against the
-    definitions. Returns True when everything passes.
+    definitions. fixture-load fails when the three files name different
+    samples or a group has no pair. Returns True when everything passes.
     """
     failures = 0
 
@@ -206,7 +220,8 @@ def run_selfcheck() -> bool:
     try:
         pairs, annotations = load_golden()
         expected = load_expected()
-    except Exception as e:  # surface any ingestion problem as a diagnostic
+        _check_golden(pairs, expected)
+    except Exception as e:  # surface any ingestion or coverage problem as a diagnostic
         report("fixture-load", False, str(e))
         return False
     report("fixture-load", True)
@@ -220,7 +235,7 @@ def run_selfcheck() -> bool:
     scored = {}  # id -> (aligned entities, metric -> counts)
     for pair in pairs:
         exp = expected["samples"][pair.id]
-        aligned, sample = _eval_task(pair, annotations, cfg, True)
+        aligned, sample = _eval_task(pair, annotations, cfg)
         oracle = reference_sample(pair.reference, pair.hypothesis, annotations[pair.id].entities,
                                   threshold, max_n)
         got = [(ae.candidate.normalized if ae.candidate else None, ae.exact) for ae in aligned]

@@ -1,14 +1,13 @@
-"""End-to-end evaluation: alignment and metrics per sample, then aggregation.
+"""End-to-end evaluation: `evaluate` aligns and scores each sample, then
+aggregates; `align` only aligns.
 
-Per-sample work is pure. With N workers the ordered samples are cut into N
-contiguous ranges, at most one per sample and per usable CPU. The process
-POSIX-forks one child for every range after the first, scores the first
-range itself, then reads each child's finished output from a pipe in range
-order: the JSON lines of its records for `align`, its SampleMetrics for
-`evaluate`. Children inherit the loaded corpus, so nothing is sent to them,
-and each leaves only through os._exit. Where the platform has no fork the
-run is serial. Results are joined in range order and every count is an
-integer sum, so the output does not depend on the worker count.
+Per-sample work is pure. Each command hands _run_shards one step, a function
+of a contiguous range of its ordered samples. The step runs once per range,
+one range per worker: in this process for the first range, and in one
+POSIX-forked child per other range where the platform has fork. Children
+inherit the loaded corpus, so nothing is sent to them. Results are joined in
+range order and every count is an integer sum, so the output does not depend
+on the worker count.
 
 Each `align` record is rendered from one fixed template, which tests check
 against _oracles.reference_record_json, the record's dict written by
@@ -18,8 +17,8 @@ json.dumps.
 import json
 import os
 import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 from .align import DEFAULT_THRESHOLD, AlignedEntity, med_text_align, shared_span_count
 from .corpus import REPORT_FORMATS, AnnotationSet, TranscriptPair
@@ -74,44 +73,17 @@ class RunConfig:
                 "normalization": self.normalization}
 
 
-def _eval_task(pair: TranscriptPair, annotations: dict[str, AnnotationSet], cfg: RunConfig,
-               scored: bool) -> tuple[list[AlignedEntity], SampleMetrics | None]:
-    """Score one sample; the unit of work of every shard.
+def _eval_task(pair: TranscriptPair, annotations: dict[str, AnnotationSet],
+               cfg: RunConfig) -> tuple[list[AlignedEntity], SampleMetrics]:
+    """Align and score one sample: the unit of work of `evaluate`.
 
-    The hypothesis is tokenized once, for the alignment and for WER. The
-    metrics are computed only when asked for, so alignment runs pay for none
-    of them.
+    The hypothesis is tokenized once, for the alignment and for WER.
     """
     entities = annotations[pair.id].entities if pair.id in annotations else ()
     hypothesis = tokenize(pair.hypothesis, cfg.normalization)
-    aligned = med_text_align(list(entities), hypothesis, cfg.threshold, cfg.max_ngram,
-                             cfg.normalization)
-    if not scored:
-        return aligned, None
-    return aligned, SampleMetrics(
-        sample_id=pair.id,
-        wer=wer(pair.reference, hypothesis, cfg.normalization),
-        mwer=medical_wer(aligned),
-        mcer=medical_cer(aligned),
-        recall=entity_recall(aligned),
-    )
-
-
-def _evaluate_range(pairs, annotations, cfg) -> tuple[list[SampleMetrics], int]:
-    """The metrics of each pair, and how many entities share a span with another."""
-    samples = []
-    shared = 0
-    for pair in pairs:
-        aligned, sample = _eval_task(pair, annotations, cfg, True)
-        samples.append(sample)
-        shared += shared_span_count(aligned)
-    return samples, shared
-
-
-def _align_range(pairs, annotations, cfg) -> str:
-    """The alignment records of each pair, as JSON lines."""
-    return "".join(_record_json(pair.id, ae) for pair in pairs
-                   for ae in _eval_task(pair, annotations, cfg, False)[0])
+    aligned = med_text_align(entities, hypothesis, cfg.threshold, cfg.max_ngram, cfg.normalization)
+    return aligned, SampleMetrics(pair.id, wer(pair.reference, hypothesis, cfg.normalization),
+                                  medical_wer(aligned), medical_cer(aligned), entity_recall(aligned))
 
 
 def _usable_cpus() -> int:
@@ -122,23 +94,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_shards(score: Callable, pairs: list[TranscriptPair], annotations: dict[str, AnnotationSet],
-                cfg: RunConfig) -> list:
-    """score(range, annotations, cfg) for contiguous ranges of the pairs, in order.
+def _run_shards(step: Callable[[Sequence], object], items: Sequence, workers: int) -> list:
+    """step(range) for contiguous ranges of the items, in order.
 
-    There is one range per worker, clamped to the pairs and the usable CPUs.
-    This process forks a child for every range after the first, scores the
-    first itself, then reads each child's pickled result from its pipe in
-    order and reaps that child. A child's exception re-raises here; on any
+    There is one range per worker, clamped to the items and the usable CPUs.
+    This process forks a child for every range after the first, runs the step
+    on the first itself, then reads each child's pickled result from its pipe
+    in order and reaps that child. A child's exception re-raises here; on any
     failure every child not yet reaped is killed and reaped before the raise.
     """
-    shards = min(cfg.workers, len(pairs), _usable_cpus())
+    shards = min(workers, len(items), _usable_cpus())
     if shards < 2 or not hasattr(os, "fork"):
-        return [score(pairs, annotations, cfg)]
+        return [step(items)]
     import pickle
     import signal
 
-    bounds = [len(pairs) * k // shards for k in range(shards + 1)]
+    bounds = [len(items) * k // shards for k in range(shards + 1)]
     children = []  # (pid, read end of its pipe) of each child not yet reaped
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -150,7 +121,7 @@ def _run_shards(score: Callable, pairs: list[TranscriptPair], annotations: dict[
                 code = 1
                 try:
                     try:
-                        result = (True, score(pairs[lo:hi], annotations, cfg))
+                        result = (True, step(items[lo:hi]))
                     except BaseException as exc:  # the parent re-raises it
                         result = (False, exc)
                     with open(write_fd, "wb") as pipe:
@@ -160,7 +131,7 @@ def _run_shards(score: Callable, pairs: list[TranscriptPair], annotations: dict[
                     os._exit(code)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        results = [score(pairs[:bounds[1]], annotations, cfg)]
+        results = [step(items[:bounds[1]])]
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -190,22 +161,27 @@ def evaluate_corpus(pairs: list[TranscriptPair], annotations: dict[str, Annotati
     show up in the skipped_zero_entity count. An INFO line on stderr counts
     the entities that share a hypothesis span with another.
     """
-    samples = []
-    reused = 0
-    for shard_samples, shard_reused in _run_shards(_evaluate_range, pairs, annotations, cfg):
+    def step(part: list[TranscriptPair]) -> tuple[list[SampleMetrics], int]:
+        part_samples, shared = [], 0
+        for pair in part:
+            aligned, sample = _eval_task(pair, annotations, cfg)
+            part_samples.append(sample)
+            shared += shared_span_count(aligned)
+        return part_samples, shared
+
+    samples, reused = [], 0
+    for shard_samples, shard_reused in _run_shards(step, pairs, cfg.workers):
         samples += shard_samples
         reused += shard_reused
     if reused:
         print(f"INFO {reused} entities aligned to a hypothesis span shared with another entity",
               file=sys.stderr)
 
-    groups: dict[str, CorpusMetrics] = {}
-    if cfg.group_by:
-        buckets: dict[tuple[str, ...], list[SampleMetrics]] = {}
-        for pair, sample in zip(pairs, samples):
-            buckets.setdefault(tuple(getattr(pair, k) or "" for k in cfg.group_by), []).append(sample)
-        labels = {_group_label(cfg.group_by, values): values for values in buckets}
-        groups = {label: aggregate(buckets[labels[label]]) for label in sorted(labels)}
+    buckets: dict[tuple[str, ...], list[SampleMetrics]] = {}
+    for pair, sample in zip(pairs, samples) if cfg.group_by else ():
+        buckets.setdefault(tuple(getattr(pair, k) or "" for k in cfg.group_by), []).append(sample)
+    labels = {_group_label(cfg.group_by, values): values for values in buckets}
+    groups = {label: aggregate(buckets[labels[label]]) for label in sorted(labels)}
     return aggregate(samples), samples, groups
 
 
@@ -222,8 +198,12 @@ def _group_label(keys: tuple[str, ...], values: tuple[str, ...]) -> str:
 def align_corpus(pairs: list[TranscriptPair], annotations: dict[str, AnnotationSet],
                  cfg: RunConfig) -> str:
     """Per-entity alignment records as JSON lines, ordered by (sample id, entity begin)."""
-    ordered = sorted(pairs, key=lambda p: p.id)
-    return "".join(_run_shards(_align_range, ordered, annotations, cfg))
+    def step(part: list[TranscriptPair]) -> str:
+        return "".join(_record_json(pair.id, ae) for pair in part for ae in med_text_align(
+            annotations[pair.id].entities if pair.id in annotations else (), pair.hypothesis,
+            cfg.threshold, cfg.max_ngram, cfg.normalization))
+
+    return "".join(_run_shards(step, sorted(pairs, key=lambda p: p.id), cfg.workers))
 
 
 def _record_json(sample_id: str, ae: AlignedEntity) -> str:

@@ -221,6 +221,11 @@ def test_unknown_flag_value_is_a_usage_error(capsys):
     assert code == cli.EXIT_USAGE
     code = cli.main(["evaluate", "--manifest", "m", "--annotations", "a", "--group-by", "speaker"])
     assert code == cli.EXIT_USAGE
+    # a group-by that names no key; the csv run would otherwise pass the group check.
+    # Exit 1, not 2: the run stops before it reads the missing files.
+    for flags in (["--group-by", ""], ["--group-by", ","], ["--format", "csv", "--group-by", ","]):
+        assert cli.main(["evaluate", "--manifest", "m", "--annotations", "a", *flags]) == cli.EXIT_USAGE
+        assert "names no key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, section", [
@@ -359,6 +364,39 @@ def test_selfcheck_reports_missing_fixture_file(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL fixture-files" in out
     assert "missing fixture file" in out
+
+
+def _drift_hypothesis(test):
+    """A change that gives every manifest record that passes test another hypothesis."""
+    def change(manifest, annotations, expected):
+        for record in filter(test, manifest):
+            record["hypothesis"] = "drifted"
+    return change
+
+
+@pytest.mark.parametrize("change, detail", [
+    (lambda manifest, annotations, expected: expected["samples"].pop("t2r2"),
+     "sample id(s) in only one of the manifest and expected.json: t2r2"),
+    (lambda manifest, annotations, expected: (manifest.pop(), annotations.pop()),
+     "sample id(s) in only one of the manifest and expected.json: t1_empty"),
+    (lambda manifest, annotations, expected: annotations.pop(0),
+     "missing annotations for id(s): 't2r1'"),
+    (_drift_hypothesis(lambda r: r["reference"] == r["hypothesis"]),
+     "no golden pair has a hypothesis equal to its reference"),
+    (_drift_hypothesis(lambda r: r["hypothesis"] == ""), "no golden pair has an empty hypothesis"),
+], ids=["expected-lacks-a-sample", "manifest-lacks-a-sample", "annotations-lack-a-sample",
+        "no-identity-pair", "no-empty-hypothesis-pair"])
+def test_selfcheck_reports_fixture_drift(monkeypatch, tmp_path, capsys, change, detail):
+    manifest, annotations = ([json.loads(line) for line in fixtures.fixture_path(name).open(encoding="utf-8")]
+                             for name in ("manifest.jsonl", "annotations.jsonl"))
+    expected = fixtures.load_expected()
+    change(manifest, annotations, expected)
+    write_jsonl(tmp_path / "manifest.jsonl", manifest)
+    write_jsonl(tmp_path / "annotations.jsonl", annotations)
+    (tmp_path / "expected.json").write_text(json.dumps(expected), encoding="utf-8")
+    monkeypatch.setattr(fixtures, "fixture_path", lambda name: tmp_path / name)
+    assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
+    assert capsys.readouterr().out.splitlines()[-1] == f"FAIL fixture-load: {detail}"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "align"])

@@ -289,6 +289,35 @@ def test_workers_are_clamped_to_the_cpus_this_process_may_run_on(monkeypatch, ru
     assert forks == []
 
 
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+def test_align_corpus_only_aligns(request, monkeypatch, workers):
+    pairs, annotations = synthetic_corpus(6, seed=4, tokens_per_sample=8)
+    expected = align_corpus(pairs, annotations, RunConfig())
+    if workers > 1:  # shard on a one-CPU host too, one child at a time
+        request.getfixturevalue("forks")
+        two_cpus(monkeypatch)
+
+    def scoring(*args):
+        raise AssertionError("align_corpus scored a sample")
+
+    for name in ("_eval_task", "wer", "medical_wer", "medical_cer", "entity_recall"):
+        monkeypatch.setattr(runner, name, scoring)
+    assert align_corpus(pairs, annotations, RunConfig(workers=workers)) == expected
+
+
+@needs_fork
+def test_run_shards_maps_a_plain_step_over_contiguous_ranges(monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+    def double(part):
+        return [x * 2 for x in part]
+
+    ranges = runner._run_shards(double, range(7), 3)
+    assert ranges == [[0, 2], [4, 6], [8, 10, 12]]
+    assert len(forks) == 2
+    assert sum(ranges, []) == double(range(7)) == runner._run_shards(double, range(7), 1)[0]
+
+
 def test_without_fork_the_run_is_serial(monkeypatch):
     two_cpus(monkeypatch)
     monkeypatch.delattr(os, "fork", raising=False)
