@@ -13,25 +13,22 @@ score equally, and since a normalized token never contains a space, equal
 strings also have equal token counts, so the earliest start is the one
 that wins among them. An entity whose normalized text is one of those
 strings takes it with score 1.0 by lookup: only an identical string scores
-1.0. Every other entity scans the candidates grouped by length, in
-decreasing order of the length bound 2*min(t, c)/(t + c) on the ratio, and
-stops at the first group whose bound is below the threshold or the best
-score found so far. The bound rises with the candidate length c up to the
-target length t and falls after it, so that order is a walk outward from t
-over the sample's sorted lengths: two pointers, one stepping down and one
-up, each step taking the side with the higher bound and the longer length
-on a tie. Only the groups the scan reaches have their bounds computed.
-Inside a group the character-count bound 2*overlap/(t + c), with overlap
-the size of the multiset intersection of the two strings' characters,
-screens each candidate; it is counted string by string, from the target's
-characters that occur once and the counts of those that repeat. Those that
-pass are scored with the full ratio highest bound first. Both bounds are
-true upper bounds (difflib's real_quick_ratio and quick_ratio), so the scan
-order and the early stop change no result. A target that recurs in a
-sample reuses its first result.
+1.0. Every other entity scans the candidates grouped by length, in the
+order of one sorted list of (length bound, length) pairs, highest bound
+first and the longer length on a tie, where the length bound
+2*min(t, c)/(t + c) caps the ratio of a target of length t and a
+candidate of length c. The scan stops at the first group whose bound is
+below the threshold or the best score found so far. Inside a group the
+character-count bound 2*overlap/(t + c), with overlap the size of the
+multiset intersection of the two strings' characters, screens each
+candidate; it is counted string by string, from the target's characters
+that occur once and the counts of those that repeat. Those that pass are
+scored with the full ratio highest bound first. Both bounds are true upper
+bounds (difflib's real_quick_ratio and quick_ratio), so the scan order and
+the early stop change no result. A target that recurs in a sample reuses
+its first result.
 """
 
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -105,7 +102,7 @@ def med_text_align(entities: Sequence[EntityAnnotation], hypothesis: str | Token
 
     seq = hypothesis if isinstance(hypothesis, TokenSequence) else tokenize(hypothesis, mode)
     first = ngrams(seq, max_n)
-    candidates: _Candidates | None = None  # built for the first entity not matched exactly
+    groups: dict[int, list[str]] | None = None  # built for the first entity not matched exactly
     found: dict[str, tuple[str | None, float]] = {}
 
     aligned = []
@@ -116,9 +113,15 @@ def med_text_align(entities: Sequence[EntityAnnotation], hypothesis: str | Token
         elif target in found:
             best, score = found[target]
         else:
-            if candidates is None:
-                candidates = _Candidates(first)
-            best, score = found[target] = _closest(target, candidates, threshold)
+            if groups is None:
+                groups = {}
+                for cand in first:
+                    clen = len(cand)
+                    if clen in groups:
+                        groups[clen].append(cand)
+                    else:
+                        groups[clen] = [cand]
+            best, score = found[target] = _closest(target, first, groups, threshold)
         if best is None:
             aligned.append(AlignedEntity(entity, None, 0.0, False, target))
             continue
@@ -129,53 +132,13 @@ def med_text_align(entities: Sequence[EntityAnnotation], hypothesis: str | Token
     return aligned
 
 
-class _Candidates:
-    """The distinct candidate strings of one sample, grouped by length."""
-
-    def __init__(self, first: dict[str, tuple[int, int]]):
-        self.first = first
-        groups: dict[int, list[str]] = {}
-        for cand in first:
-            clen = len(cand)
-            if clen in groups:
-                groups[clen].append(cand)
-            else:
-                groups[clen] = [cand]
-        self.groups = groups
-        self.lengths = sorted(groups)
-
-
-def _outward(tlen: int, lengths: list[int]):
-    """Each (length bound, length) of lengths, which are sorted and distinct,
-    in the order of sorted(..., reverse=True): the highest bound first, the
-    longer length on a tie; then (-1.0, 0).
-
-    The bound 2*min(t, c)/(t + c) rises with c up to t and falls after it,
-    so the order is a merge of two runs that start at the target's length:
-    one walking down through the shorter lengths, one up through the longer.
-    With tlen 0 every bound is 0 and the lengths come shortest first; no
-    scan passes that first group, since the threshold is positive.
-    """
-    up = bisect_right(lengths, tlen)
-    down = up - 1
-    top = len(lengths)
-    down_bound = 2.0 * lengths[down] / (tlen + lengths[down]) if down >= 0 else -1.0
-    up_bound = 2.0 * tlen / (tlen + lengths[up]) if up < top else -1.0
-    while up < top or down >= 0:
-        if up_bound >= down_bound:
-            yield up_bound, lengths[up]
-            up += 1
-            up_bound = 2.0 * tlen / (tlen + lengths[up]) if up < top else -1.0
-        else:
-            yield down_bound, lengths[down]
-            down -= 1
-            down_bound = 2.0 * lengths[down] / (tlen + lengths[down]) if down >= 0 else -1.0
-    yield -1.0, 0
-
-
-def _closest(target: str, candidates: _Candidates, threshold: float) -> tuple[str | None, float]:
+def _closest(target: str, first: dict[str, tuple[int, int]], groups: dict[int, list[str]],
+             threshold: float) -> tuple[str | None, float]:
     """The best-keyed candidate string scoring at least threshold, and its score.
 
+    first maps each candidate string to its (token count, start) and groups
+    holds the same strings by length. The groups are visited in the order of
+    sorted((length bound, length), reverse=True), then the sentinel (-1.0, 0).
     Upper bounds on the ratio let most candidates be rejected without
     running the full block decomposition. Both bounds share the ratio's
     denominator, so the comparisons are exact, and every comparison is
@@ -189,12 +152,15 @@ def _closest(target: str, candidates: _Candidates, threshold: float) -> tuple[st
     if len(single) < tlen:
         repeated = [(ch, n) for ch in single if (n := target.count(ch)) > 1]
         single.difference_update([ch for ch, _ in repeated])
-    groups = candidates.groups
+    # the length bound 2*min(t, c)/(t + c); min() costs a call per length
+    order = sorted([(2.0 * (clen if clen < tlen else tlen) / (tlen + clen), clen) for clen in groups],
+                   reverse=True)
+    order.append((-1.0, 0))
     best: str | None = None
     best_key: tuple | None = None
     best_score = 0.0
     pending: list[tuple[float, str]] = []  # (-character bound, candidate)
-    for bound, clen in _outward(tlen, candidates.lengths):
+    for bound, clen in order:
         # A candidate's character bound never exceeds its length bound, so a
         # pending candidate at or above this group's bound outranks the
         # group and every group after it; the final -1.0 drains the heap.
@@ -206,7 +172,7 @@ def _closest(target: str, candidates: _Candidates, threshold: float) -> tuple[st
             score = similarity_ratio(target, cand)
             if score < threshold:
                 continue
-            key = (-score, *candidates.first[cand])
+            key = (-score, *first[cand])
             if best_key is None or key < best_key:
                 best, best_key, best_score = cand, key, score
         floor = best_score if best_score > threshold else threshold

@@ -8,7 +8,8 @@ based and validated against the paired reference text. A `score`, when
 present, must lie in [0, 1]; it is validated, then ignored. Both files are
 UTF-8 text; a leading byte-order mark is accepted. A JSON escape of a lone
 surrogate is rejected: it is not Unicode text, and no report could be
-written from it.
+written from it. So is a line nested past the parser's depth limit or with
+an integer past the interpreter's digit limit.
 
 Reports are written as json, csv, or a human-readable table; nothing reads
 them back. Output is byte-identical for identical inputs, wherever it goes:
@@ -99,6 +100,9 @@ def _iter_jsonl(path, kind: str, err: type[IngestionError]):
                     record = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise err(f"{path}:{lineno}: malformed JSON: {e.msg}") from e
+                except (ValueError, RecursionError) as e:
+                    # RFC 8259 lets a parser limit nesting depth and number size
+                    raise err(f"{path}:{lineno}: JSON beyond the parser's limits: {e}") from None
                 if not isinstance(record, dict):
                     raise err(f"{path}:{lineno}: expected an object, got {type(record).__name__}")
                 # only a \uD800-\uDFFF escape can decode to a lone surrogate

@@ -5,6 +5,7 @@ whitespace runs to single spaces, and strips punctuation, keeping hyphen,
 apostrophe, and period only when flanked by alphanumerics on both sides
 (so "non-productive" stays one word while a trailing comma never blocks a
 match). "raw" leaves token surfaces untouched and only splits on whitespace.
+Normalization follows the running interpreter's Unicode database.
 
 A token is a chunk of str.split() whose normalized form is not empty; a
 sequence keeps the chunks and their normalized forms as two parallel lists.

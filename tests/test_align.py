@@ -311,41 +311,14 @@ def test_overlaps_count_the_multiset_intersection(size, clen, monkeypatch):
     # one length group, so every candidate is bounded against the threshold
     # before anything is scored; the bound it is pushed with is 2*overlap/total
     strings = _words("abñ", size, clen, seed=size)
-    candidates = align._Candidates({s: (1, i) for i, s in enumerate(strings)})
+    first = {s: (1, i) for i, s in enumerate(strings)}
     for target in (strings[0], "a" * clen, "ab" + "ñ" * (clen - 3), "b", "ñaab"):
         pushed = {}
         monkeypatch.setattr(align, "heappush", lambda heap, item: pushed.setdefault(item[1], -item[0]))
-        align._closest(target, candidates, 1e-9)
+        align._closest(target, first, {clen: list(first)}, 1e-9)
         got = {s: round(b * (len(target) + clen) / 2) for s, b in pushed.items()}
         want = {s: n for s in strings if (n := sum((Counter(target) & Counter(s)).values()))}
         assert got == want
-
-
-@st.composite
-def _lengths_around(draw):
-    """A target length and sorted distinct candidate lengths, often holding
-    pairs c1 < t < c2 with c1 * c2 == t * t, whose length bounds tie."""
-    tlen = draw(st.integers(1, 12))
-    lengths = draw(st.sets(st.integers(1, 150), max_size=12))
-    divisors = [d for d in range(1, tlen) if tlen * tlen % d == 0]
-    if divisors:
-        for d in draw(st.lists(st.sampled_from(divisors), max_size=3)):
-            lengths |= {d, tlen * tlen // d}
-    return tlen, sorted(lengths)
-
-
-@given(_lengths_around())
-@example((6, [4, 9]))
-@example((6, [1, 2, 3, 4, 6, 9, 12, 18, 36]))
-@example((5, []))
-def test_outward_walk_visits_lengths_in_sorted_bound_order(case):
-    tlen, lengths = case
-    want = sorted(((2.0 * min(tlen, c) / (tlen + c), c) for c in lengths), reverse=True)
-    assert list(align._outward(tlen, lengths)) == [*want, (-1.0, 0)]
-
-
-def test_outward_walk_takes_the_longer_length_on_a_bound_tie():
-    assert list(align._outward(6, [4, 9])) == [(0.8, 9), (0.8, 4), (-1.0, 0)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -362,3 +335,41 @@ def test_only_candidates_past_the_character_bound_are_scored(target, words, thre
         align.similarity_ratio = original
     for a, b in calls:
         assert 2.0 * sum((Counter(a) & Counter(b)).values()) / (len(a) + len(b)) >= threshold
+
+
+def _zipf_sample(tokens, entities, seed=5):
+    """A hypothesis of tokens words drawn from 8000 random words with weight
+    1/(rank+1), and entity texts that are random 1-3-token spans of it with
+    the last letter changed to q when the span is longer than 3 characters,
+    each followed by its letters shuffled: that anagram keeps the span's
+    character bound but not its ratio, so the first candidate scored need
+    not be the best."""
+    rng = random.Random(seed)
+    vocab = ["".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(rng.randint(2, 11)))
+             for _ in range(8000)]
+    words = rng.choices(vocab, weights=[1 / (rank + 1) for rank in range(len(vocab))], k=tokens)
+    texts = []
+    for _ in range(entities):
+        start = rng.randrange(tokens - 2)
+        text = " ".join(words[start:start + rng.randint(1, 3)])
+        texts.append(text[:-1] + "q" if len(text) > 3 else text)
+        texts.append("".join(rng.sample(text, len(text))))
+    return " ".join(words), texts
+
+
+def test_closest_equals_a_brute_force_maximum_at_realistic_scale():
+    hypothesis, texts = _zipf_sample(2000, 5)
+    first = ngrams(tokenize(hypothesis))
+    assert len(first) > 4000
+    groups = {}
+    for cand in first:
+        groups.setdefault(len(cand), []).append(cand)
+    scanned = 0
+    for target in texts:
+        scores = {cand: similarity_ratio(target, cand) for cand in first}
+        for threshold in (0.3, 0.5, 0.7, 0.9):
+            passing = [(-score, *first[cand], cand) for cand, score in scores.items() if score >= threshold]
+            want = (min(passing)[-1], -min(passing)[0]) if passing else (None, 0.0)
+            assert align._closest(target, first, groups, threshold) == want
+        scanned += target not in first
+    assert scanned >= 8

@@ -198,6 +198,34 @@ def test_lone_surrogate_exits_two_naming_the_line(tmp_path, capsys, command, mor
     assert not out.exists()
 
 
+@pytest.mark.parametrize("broken, line", [
+    ("m.jsonl", '{"id": "s2", "reference": "x", "hypothesis": "x", "model": '
+                + "[" * 100_000 + "]" * 100_000 + "}"),
+    ("a.jsonl", '{"id": "s1", "entities": [{"text": "cough", "category": "COND", "begin": 4, "end": 9, '
+                '"score": ' + "[" * 50_000 + "]" * 50_000 + "}]}"),
+    ("a.jsonl", '{"id": "s1", "entities": [{"text": "cough", "category": "COND", "begin": '
+                + "1" * 5000 + ', "end": 9}]}'),
+], ids=["manifest-model-nested-100000-deep", "annotation-score-nested-50000-deep",
+        "entity-begin-of-5000-digits"])
+def test_json_past_the_parser_limits_exits_two_with_one_line(tmp_path, broken, line):
+    # a subprocess: the bytes and exit code a user sees, and the interpreter's
+    # own stack depth, which decides where a deeply nested record gives out
+    manifest = write_jsonl(tmp_path / "m.jsonl", [_PAIR])
+    annotations = write_jsonl(tmp_path / "a.jsonl", [] if broken == "a.jsonl" else
+                              [{"id": "s1", "entities": [{"text": "cough", "category": "COND",
+                                                          "begin": 4, "end": 9}]}])
+    path = tmp_path / broken
+    path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(medwer.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "medwer.cli", "evaluate", "--manifest", str(manifest),
+                           "--annotations", str(annotations), "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == cli.EXIT_INGESTION
+    assert "Traceback" not in done.stderr
+    [message] = done.stderr.splitlines()
+    assert message.startswith(f"medwer: error: {path}:{1 if broken == 'a.jsonl' else 2}: ")
+
+
 def test_strict_mode_requires_annotations_for_every_sample(tmp_path, capsys):
     manifest = write_jsonl(tmp_path / "m.jsonl", [
         {"id": "s1", "reference": "the cough", "hypothesis": "x"},

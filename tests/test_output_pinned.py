@@ -3,11 +3,16 @@
 Each digest holds for the --out file and for stdout alike. A change that is
 meant to keep the output identical (a faster path, a refactor) must keep
 these digests. A change that means to alter the output states so and
-updates them.
+updates them. The --out digests are checked under every interpreter from
+Python 3.10 on that is installed, each in a subprocess.
 """
 
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -88,3 +93,43 @@ def test_output_bytes_are_pinned(corpora, tmp_path, capsysbinary, corpus, comman
         assert written == b""
         written = out.read_bytes()
     assert hashlib.sha256(written).hexdigest() == _DIGESTS[corpus, command]
+
+
+def _interpreter(minor):
+    """The first python3.<minor> under $PYENV_ROOT/versions or on PATH that
+    runs and is that version (a pyenv shim may be neither), or None."""
+    name = f"python3.{minor}"
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    paths = [*sorted(root.glob(f"versions/3.{minor}.*/bin/{name}")),
+             *(Path(d) / name for d in os.environ.get("PATH", "").split(os.pathsep) if d)]
+    for path in paths:
+        if not os.access(path, os.X_OK):
+            continue
+        done = subprocess.run([path, "-c", "import sys; print(sys.version_info[:2])"],
+                              capture_output=True, text=True)
+        if done.stdout.strip() == f"(3, {minor})":
+            return path
+    return None
+
+
+_RUN_ALL = "import json, sys\nfrom medwer import cli\nprint([cli.main(argv) for argv in json.loads(sys.argv[1])])"
+
+
+@pytest.mark.parametrize("minor", range(10, 15), ids=lambda minor: f"python3.{minor}")
+def test_output_bytes_are_pinned_under_every_interpreter(corpora, tmp_path, minor):
+    python = _interpreter(minor)
+    if python is None:
+        pytest.skip(f"python3.{minor} is neither under $PYENV_ROOT/versions nor on PATH")
+    argvs = []
+    for i, (corpus, command) in enumerate(_DIGESTS):
+        manifest, annotations = corpora[corpus]
+        argv = _COMMANDS[command]
+        argvs.append([*argv[:1], "--manifest", str(manifest), "--annotations", str(annotations),
+                      "--out", str(tmp_path / str(i)), *argv[1:]])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([python, "-c", _RUN_ALL, json.dumps(argvs)], env=env, capture_output=True,
+                          text=True)
+    assert done.stdout.strip() == str([cli.EXIT_OK] * len(argvs)), done.stderr
+    written = {key: hashlib.sha256((tmp_path / str(i)).read_bytes()).hexdigest()
+               for i, key in enumerate(_DIGESTS)}
+    assert written == _DIGESTS
