@@ -1,25 +1,18 @@
 """Naive reference implementations for cross-checking the fast paths.
 
-Nothing here shares code with the production modules. The self-check and
-the test suite use these to regenerate derived expectations from first
-principles: an exhaustive-table longest-block search for the similarity
-ratio, an all-alignments recursion and a full-table backtrace for edit
-distance, a character loop for normalization, and an every-candidate scan
-for the alignment. reference_sample scores a whole sample with them, the one
-reference pipeline: scripts/regen_expected.build_expected, run_selfcheck and
-the end-to-end test of evaluate_corpus all rest on it. reference_report_json
-builds a whole JSON report as one dict and renders it with a generic writer,
-the reference for the report's fixed block templates; reference_record_json
-writes an `align` record's dict with json.dumps, the reference for the fixed
-record template.
+Nothing here shares code with the production modules. reference_sample
+aligns and scores one sample from first principles: an exhaustive-table
+longest-block search for the similarity ratio, a full-table backtrace for
+edit distance, a character loop for normalization, and an every-candidate
+scan for the alignment. It is the one reference pipeline:
+scripts/regen_expected.build_expected and run_selfcheck rest on it, as does
+the end-to-end test of evaluate_corpus. dp_distance, a two-row Levenshtein
+distance, is here for the benchmark's output check. The references that
+only tests use live with the tests.
 """
 
-import json
-import math
 import unicodedata
 from typing import NamedTuple
-
-from .align import EntityCategory
 
 
 def naive_longest_block(a, b, alo, ahi, blo, bhi):
@@ -66,28 +59,6 @@ def naive_similarity(a, b):
     if total == 0:
         return 1.0
     return 2 * naive_match_total(a, b) / total
-
-
-def all_alignments_distance(ref, hyp):
-    """Minimum unit cost over every alignment, by plain recursion.
-
-    Exponential; intended for sequences of length <= ~8.
-    """
-    def walk(i, j):
-        if i == len(ref):
-            return len(hyp) - j
-        if j == len(hyp):
-            return len(ref) - i
-        best = (0 if ref[i] == hyp[j] else 1) + walk(i + 1, j + 1)
-        down = 1 + walk(i + 1, j)
-        if down < best:
-            best = down
-        right = 1 + walk(i, j + 1)
-        if right < best:
-            best = right
-        return best
-
-    return walk(0, 0)
 
 
 def dp_distance(ref, hyp):
@@ -158,36 +129,11 @@ def reference_edit_counts(ref, hyp):
     return subs, ins, dels, hits
 
 
-def lcs_substring_length(a, b):
-    """Length of the longest common contiguous substring (DP table)."""
-    best = 0
-    prev = [0] * (len(b) + 1)
-    for i in range(len(a)):
-        cur = [0] * (len(b) + 1)
-        for j in range(len(b)):
-            if a[i] == b[j]:
-                cur[j + 1] = prev[j] + 1
-                if cur[j + 1] > best:
-                    best = cur[j + 1]
-        prev = cur
-    return best
-
-
-def lcs_subsequence_length(a, b):
-    """Length of the longest common (not necessarily contiguous) subsequence."""
-    prev = [0] * (len(b) + 1)
-    for i in range(len(a)):
-        cur = [0] * (len(b) + 1)
-        for j in range(len(b)):
-            cur[j + 1] = prev[j] + 1 if a[i] == b[j] else max(prev[j + 1], cur[j])
-        prev = cur
-    return prev[-1]
-
-
 def reference_normalize_chunk(chunk):
-    """Lowercase one whitespace-free chunk and drop its punctuation, keeping
-    a hyphen, apostrophe or period only between two alphanumerics."""
-    low = chunk.lower()
+    """Compose one whitespace-free chunk (NFC), lowercase it and drop its
+    punctuation, keeping a hyphen, apostrophe or period only between two
+    alphanumerics."""
+    low = unicodedata.normalize("NFC", chunk).lower()
     out = []
     for i, ch in enumerate(low):
         if not unicodedata.category(ch).startswith("P"):
@@ -273,89 +219,3 @@ def reference_sample(reference, hypothesis, entities, threshold=0.5, max_n=3, mo
                            counts(reference_normalize(reference, mode).split(),
                                   reference_normalize(hypothesis, mode).split()),
                            counts(truth.split(), recovered.split()), counts(truth, recovered), recall)
-
-
-def _reference_json(value, depth=0):
-    """Generic JSON: two-space indents, floats to four decimals, NaN as null,
-    anything else through json.dumps."""
-    if isinstance(value, float):
-        return "null" if math.isnan(value) else f"{value:.4f}"
-    if isinstance(value, dict):
-        items = [f"{json.dumps(key)}: {_reference_json(item, depth + 1)}" for key, item in value.items()]
-        brackets = "{}"
-    elif isinstance(value, list):
-        items = [_reference_json(item, depth + 1) for item in value]
-        brackets = "[]"
-    else:
-        return json.dumps(value)
-    if not items:
-        return brackets
-    inner = "  " * (depth + 1)
-    return brackets[0] + "\n" + ",\n".join(inner + item for item in items) + "\n" + "  " * depth + brackets[1]
-
-
-_COUNT_FIELDS = ("substitutions", "insertions", "deletions", "hits", "ref_len", "rate")
-
-
-def _counts_dict(counts):
-    return {name: getattr(counts, name) for name in _COUNT_FIELDS}
-
-
-def _recall_dict(recall):
-    return {cat.value: {"recalled": recall[cat].recalled, "total": recall[cat].total, "rate": recall[cat].rate}
-            for cat in EntityCategory if cat in recall}
-
-
-def _metrics_dict(m):
-    """A corpus or group block: counts and recall with their macro rates."""
-    return {
-        "wer": {**_counts_dict(m.wer), "macro_rate": m.macro_wer},
-        "mwer": {**_counts_dict(m.mwer), "macro_rate": m.macro_mwer},
-        "mcer": {**_counts_dict(m.mcer), "macro_rate": m.macro_mcer},
-        "recall": {label: {**entry, "macro_rate": m.macro_recall.get(EntityCategory(label), math.nan)}
-                   for label, entry in _recall_dict(m.recall).items()},
-        "samples": m.samples,
-        "skipped_zero_entity": m.skipped_zero_entity,
-        "skipped_zero_word": m.skipped_zero_word,
-    }
-
-
-def reference_report_json(corpus, per_sample, config, groups):
-    """A whole JSON report, built as one dict (per_sample as a list) and
-    rendered by the generic writer."""
-    doc = {}
-    if config is not None:
-        doc["config"] = {"threshold": float(config["threshold"]), "max_ngram": int(config["max_ngram"]),
-                         "normalization": str(config["normalization"])}
-    doc["corpus"] = _metrics_dict(corpus)
-    if groups:
-        doc["groups"] = {key: _metrics_dict(groups[key]) for key in sorted(groups)}
-    if per_sample is not None:
-        doc["per_sample"] = [{"id": s.sample_id, "wer": _counts_dict(s.wer), "mwer": _counts_dict(s.mwer),
-                              "mcer": _counts_dict(s.mcer), "recall": _recall_dict(s.recall)}
-                             for s in per_sample]
-    return _reference_json(doc) + "\n"
-
-
-def reference_record_json(sample_id, ae):
-    """One alignment record, as a JSON line rendered from a dict by json.dumps."""
-    candidate = None
-    if ae.candidate is not None:
-        candidate = {
-            "surface": ae.candidate.surface,
-            "normalized": ae.candidate.normalized,
-            "start_token": ae.candidate.start_token,
-            "length_tokens": ae.candidate.length_tokens,
-        }
-    return json.dumps({
-        "id": sample_id,
-        "entity": {
-            "text": ae.entity.text,
-            "category": ae.entity.category.value,
-            "begin": ae.entity.begin,
-            "end": ae.entity.end,
-        },
-        "candidate": candidate,
-        "score": ae.score,
-        "exact": ae.exact,
-    }) + "\n"

@@ -76,14 +76,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The run's RunConfig; raises ValueError for a bad knob, or for a report
+    section that the format cannot hold."""
     fields = {key: value for key, value in vars(args).items()
-              if key not in ("command", "manifest", "annotations", "strict", "out")}
+              if key not in ("command", "manifest", "annotations", "strict", "out", "fmt", "per_sample")}
     raw = fields.pop("group_by", None)
     if raw is not None:
         fields["group_by"] = tuple(key.strip() for key in raw.split(",") if key.strip())
         if not fields["group_by"]:
             raise ValueError(f"group-by {raw!r} names no key; expected a subset of {GROUP_KEYS}")
-    return RunConfig(**fields)
+    cfg = RunConfig(**fields)
+    if args.command == "evaluate":
+        if args.fmt == "csv" and cfg.group_by:
+            raise ValueError("csv reports have no group rows; use json or table with group-by")
+        if args.fmt == "table" and args.per_sample:
+            raise ValueError("table reports have no per-sample rows; use json or csv with per-sample")
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -110,7 +118,7 @@ def main(argv=None) -> int:
                                        normalization=cfg.normalization)
         if args.command == "evaluate":
             corpus, samples, groups = evaluate_corpus(pairs, annotations, cfg)
-            write_report(corpus, samples if cfg.per_sample else None, cfg.fmt, args.out,
+            write_report(corpus, samples if args.per_sample else None, args.fmt, args.out,
                          config=cfg.config_dict(), groups=groups)
         else:
             write_output(align_corpus(pairs, annotations, cfg), args.out)

@@ -16,8 +16,8 @@ them back. Output is byte-identical for identical inputs, wherever it goes:
 it is written as UTF-8 to a file or to stdout alike, field order is fixed
 and every rate is rendered with four decimals (half-even, via standard float
 formatting). Every block of a json report (config, corpus, groups and
-per_sample rows) comes from fixed templates, checked against the generic
-rendering of _oracles.reference_report_json.
+per_sample rows) comes from fixed templates, which the tests check against
+a generic rendering of the whole report as one dict.
 """
 
 import csv
@@ -354,13 +354,15 @@ def render_table(corpus: CorpusMetrics, groups: dict[str, CorpusMetrics] | None)
 
 def write_output(text: str, path) -> None:
     """Write a command's output as UTF-8 to the file at path, or to stdout when
-    path is None; the bytes are the same either way."""
-    data = text.encode("utf-8")
-    if path is None:
+    path is None; the bytes are the same either way. A stdout with no binary
+    buffer, such as a notebook's, gets the text itself."""
+    if path is not None:
+        Path(path).write_bytes(text.encode("utf-8"))
+    elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.write(text.encode("utf-8"))
     else:
-        Path(path).write_bytes(data)
+        sys.stdout.write(text)
 
 
 def write_report(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None,

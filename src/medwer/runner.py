@@ -9,9 +9,8 @@ inherit the loaded corpus, so nothing is sent to them. Results are joined in
 range order and every count is an integer sum, so the output does not depend
 on the worker count.
 
-Each `align` record is rendered from one fixed template, which tests check
-against _oracles.reference_record_json, the record's dict written by
-json.dumps.
+Each `align` record is rendered from one fixed template, which the tests
+check against the record's dict written by json.dumps.
 """
 
 import json
@@ -21,7 +20,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .align import DEFAULT_THRESHOLD, AlignedEntity, med_text_align, shared_span_count
-from .corpus import REPORT_FORMATS, AnnotationSet, TranscriptPair
+from .corpus import AnnotationSet, TranscriptPair
 from .metrics import (CorpusMetrics, SampleMetrics, aggregate, entity_recall,
                       medical_cer, medical_wer, wer)
 from .textnorm import DEFAULT_MAX_NGRAM, NORMALIZATION_MODES, tokenize
@@ -33,17 +32,15 @@ _QUOTE_TRIGGERS = frozenset(',="')
 # A dataclass, not a tuple: __post_init__ validates it when it is constructed.
 @dataclass
 class RunConfig:
-    """Knobs for one evaluation run: how samples are scored, how the report is
-    shaped, and how many workers score them. Defaults follow the standard
-    recipe (cutoff 0.5, trigram candidates, standard normalization). The
-    input and output files and the strict flag stay with the CLI, which
-    hands them to the loaders and the writer."""
+    """Knobs for one run: how samples are scored, how they are grouped, and
+    how many workers score them. Defaults follow the standard recipe (cutoff
+    0.5, trigram candidates, standard normalization). The files, the strict
+    flag and the report's shape stay with the CLI, which hands them to the
+    loaders and the writer."""
 
     threshold: float = DEFAULT_THRESHOLD
     max_ngram: int = DEFAULT_MAX_NGRAM
     normalization: str = "standard"
-    fmt: str = "json"
-    per_sample: bool = False
     group_by: tuple[str, ...] = ()
     workers: int = 1
 
@@ -54,8 +51,6 @@ class RunConfig:
             raise ValueError(f"max-ngram must be >= 1, got {self.max_ngram}")
         if self.normalization not in NORMALIZATION_MODES:
             raise ValueError(f"normalization must be one of {NORMALIZATION_MODES}, got {self.normalization!r}")
-        if self.fmt not in REPORT_FORMATS:
-            raise ValueError(f"format must be one of {REPORT_FORMATS}, got {self.fmt!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         unknown = set(self.group_by) - set(GROUP_KEYS)
@@ -63,10 +58,6 @@ class RunConfig:
             raise ValueError(f"unknown group-by key(s) {sorted(unknown)}; expected a subset of {GROUP_KEYS}")
         if len(set(self.group_by)) < len(self.group_by):
             raise ValueError(f"repeated group-by key in {','.join(self.group_by)}")
-        if self.fmt == "csv" and self.group_by:
-            raise ValueError("csv reports have no group rows; use json or table with group-by")
-        if self.fmt == "table" and self.per_sample:
-            raise ValueError("table reports have no per-sample rows; use json or csv with per-sample")
 
     def config_dict(self) -> dict:
         return {"threshold": self.threshold, "max_ngram": self.max_ngram,

@@ -1,11 +1,14 @@
 """Text normalization, tokenization, and n-gram candidate generation.
 
-Two normalization policies are supported. "standard" lowercases, collapses
-whitespace runs to single spaces, and strips punctuation, keeping hyphen,
-apostrophe, and period only when flanked by alphanumerics on both sides
-(so "non-productive" stays one word while a trailing comma never blocks a
-match). "raw" leaves token surfaces untouched and only splits on whitespace.
-Normalization follows the running interpreter's Unicode database.
+Two normalization policies are supported. "standard" puts each chunk in
+Unicode's composed form (NFC), lowercases, collapses whitespace runs to
+single spaces, and strips punctuation, keeping hyphen, apostrophe, and
+period only when flanked by alphanumerics on both sides (so
+"non-productive" stays one word while a trailing comma never blocks a
+match). NFC comes first, so canonically equal texts, such as a decomposed
+and a precomposed "é", normalize alike. "raw" leaves token surfaces
+untouched and only splits on whitespace. Normalization follows the running
+interpreter's Unicode database.
 
 A token is a chunk of str.split() whose normalized form is not empty; a
 sequence keeps the chunks and their normalized forms as two parallel lists.
@@ -54,12 +57,14 @@ def _check_mode(mode: str) -> None:
 
 
 def _normalize_chunk(chunk: str) -> str:
-    """Normalize one whitespace-free chunk: lowercase and drop punctuation.
+    """Normalize one whitespace-free chunk: compose it (NFC), lowercase it
+    and drop punctuation.
 
     A punctuation character survives only if it is a hyphen, apostrophe, or
     period with alphanumeric neighbours on both sides.
     """
-    low = chunk.lower()
+    # ASCII text is already in NFC.
+    low = (chunk if chunk.isascii() else unicodedata.normalize("NFC", chunk)).lower()
     # No code point is both alphanumeric and in a P* category, so an
     # all-alphanumeric chunk has nothing to drop.
     if low.isalnum():

@@ -1,4 +1,5 @@
 import random
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -45,6 +46,12 @@ def test_verbatim_entity_scores_one():
     aligned = med_text_align([_entity("paralysis", 0)], "they observed paralysis on exam")
     assert aligned[0].score == 1.0
     assert aligned[0].exact
+
+
+def test_a_decomposed_entity_matches_its_composed_form_exactly():
+    text = "Sjögren syndrome"
+    aligned = med_text_align([_entity(unicodedata.normalize("NFD", text), 0)], f"signs of {text} noted")
+    assert (aligned[0].score, aligned[0].exact) == (1.0, True)
 
 
 def test_scores_through_the_module_level_similarity_ratio(monkeypatch):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -44,6 +45,17 @@ def test_evaluate_to_stdout(golden_files, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "M-WER" in out and "M-CER" in out
+
+
+def test_a_text_only_stdout_gets_the_report(golden_files, tmp_path, monkeypatch):
+    # Jupyter's and IDLE's stdout, like a StringIO, have no binary buffer
+    manifest, annotations = golden_files
+    argv = ["evaluate", "--manifest", str(manifest), "--annotations", str(annotations), "--format", "table"]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(argv) == 0
+    assert stdout.getvalue() == (tmp_path / "out").read_text(encoding="utf-8")
 
 
 def test_evaluate_group_by(golden_files, tmp_path):
@@ -260,15 +272,20 @@ def test_unknown_flag_value_is_a_usage_error(capsys):
     (["--format", "csv", "--group-by", "model"], "group"),
     (["--format", "table", "--per-sample"], "per-sample"),
 ])
-def test_report_section_the_format_cannot_hold_is_a_usage_error(golden_files, tmp_path, capsys,
+def test_report_section_the_format_cannot_hold_is_a_usage_error(golden_files, tmp_path, capsys, monkeypatch,
                                                                  flags, section):
+    message = {"group": "csv reports have no group rows; use json or table with group-by",
+               "per-sample": "table reports have no per-sample rows; use json or csv with per-sample"}[section]
+    read = []
+    monkeypatch.setattr(cli, "load_manifest", lambda *args, **kwargs: read.append(args))
+    monkeypatch.setattr(cli, "load_annotations", lambda *args, **kwargs: read.append(args))
     manifest, annotations = golden_files
     out = tmp_path / "report"
     code = cli.main(["evaluate", "--manifest", str(manifest), "--annotations", str(annotations),
                      "--out", str(out), *flags])
     assert code == cli.EXIT_USAGE
-    assert section in capsys.readouterr().err
-    assert not out.exists()
+    assert capsys.readouterr().err == f"medwer: error: {message}\n"
+    assert (read, out.exists()) == ([], False)
 
 
 def test_repeated_group_by_key_is_a_usage_error(golden_files, tmp_path, capsys):

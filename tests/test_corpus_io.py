@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from helpers import annotation_record, pair_record, write_jsonl
 import medwer
-from medwer._oracles import reference_report_json
 from medwer.align import EntityCategory
 from medwer.corpus import (AnnotationError, ManifestError, TranscriptPair, _sample_json, load_annotations,
                            load_manifest, render_json, render_table, write_report)
 from medwer.fixtures import fixture_path, load_golden, synthetic_corpus
 from medwer.metrics import CorpusMetrics, EditCounts, RecallCount, SampleMetrics, aggregate
 from medwer.runner import RunConfig, evaluate_corpus
+from oracles import reference_report_json
 
 
 def test_load_manifest_well_formed(tmp_path):
@@ -466,14 +466,45 @@ def test_a_category_missing_from_macro_recall_renders_null():
         assert block["recall"]["PHI"] == {"recalled": 0, "total": 1, "rate": 0.0, "macro_rate": None}
 
 
-def test_the_oracles_import_nothing_from_the_modules_they_check():
-    # medwer/__init__ loads every module, so sys.modules cannot show this
-    tree = ast.parse(Path(medwer.__file__).with_name("_oracles.py").read_text(encoding="utf-8"))
+def _imported_modules(path):
     imported = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module in (None, "medwer"):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             imported.append(node.module)
-    assert "align" in imported
-    assert [name for name in imported if name.split(".")[-1] in ("corpus", "runner", "metrics")] == []
+    return [name.split(".")[-1] for name in imported]
+
+
+def test_the_oracles_import_nothing_from_the_modules_they_check():
+    # medwer/__init__ loads every module, so sys.modules cannot show this
+    package = _imported_modules(Path(medwer.__file__).with_name("_oracles.py"))
+    tests = _imported_modules(Path(__file__).with_name("oracles.py"))
+    checked = ("align", "corpus", "fuzzy", "metrics", "runner", "textnorm")
+    assert "align" in tests  # for the category names, which it checks nothing about
+    assert [name for name in package if name in checked] == []
+    assert [name for name in tests if name in checked[1:]] == []
+
+
+def test_every_package_oracle_serves_selfcheck_or_the_benchmark():
+    # the package ships reference_sample's call tree, for selfcheck and
+    # scripts/regen_expected.py, and what perfbench/verify.py imports;
+    # references that only tests use belong in tests/oracles.py
+    tree = ast.parse(Path(medwer.__file__).with_name("_oracles.py").read_text(encoding="utf-8"))
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defined.update((target.id, node) for target in node.targets)
+    verify = ast.parse((Path(__file__).parents[1] / "perfbench" / "verify.py").read_text(encoding="utf-8"))
+    benchmark = {alias.name for node in ast.walk(verify)
+                 if isinstance(node, ast.ImportFrom) and node.module == "medwer._oracles" for alias in node.names}
+    assert benchmark and benchmark <= defined.keys()
+    reached, pending = set(), ["reference_sample", *benchmark]
+    while pending:
+        name = pending.pop()
+        if name in defined and name not in reached:
+            reached.add(name)
+            pending += [node.id for node in ast.walk(defined[name]) if isinstance(node, ast.Name)]
+    assert sorted(defined.keys() - reached) == []

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import dump_corpus
 from medwer import cli, runner
-from medwer._oracles import reference_record_json, reference_sample
+from medwer._oracles import reference_sample
 from medwer.align import AlignedEntity, EntityAnnotation, EntityCategory
 from medwer.corpus import AnnotationSet, TranscriptPair, render_json, render_table
 from medwer.fixtures import load_golden, synthetic_corpus
@@ -15,6 +17,7 @@ from medwer.fuzzy import similarity_ratio
 from medwer.metrics import aggregate
 from medwer.runner import RunConfig, align_corpus, evaluate_corpus
 from medwer.textnorm import CandidateSpan
+from oracles import reference_corpus, reference_record_json
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="shards are POSIX forks")
 
@@ -47,12 +50,8 @@ def two_cpus(monkeypatch):
     {"threshold": 1.0001},
     {"max_ngram": 0},
     {"normalization": "fancy"},
-    {"fmt": "yaml"},
     {"workers": 0},
     {"group_by": ("speaker",)},
-    # csv reports have no group rows and table reports no per-sample rows
-    {"fmt": "csv", "group_by": ("model",)},
-    {"fmt": "table", "per_sample": True},
     # a repeated key would label every group row twice over
     {"group_by": ("model", "model")},
 ])
@@ -131,8 +130,9 @@ def test_worker_count_does_not_change_results(forks):
 
 
 # letters with special case mappings (ß, final ς, dotted İ, the ﬁ ligature),
-# and chunks that are punctuation only or keep an inner hyphen or period
-_e2e_chunk = st.one_of(st.text("abéßσςİﬁ", min_size=1, max_size=5),
+# a combining acute that composes with "e" (so "é" comes both ways), and
+# chunks that are punctuation only or keep an inner hyphen or period
+_e2e_chunk = st.one_of(st.text("abeéßσςİﬁ\u0301", min_size=1, max_size=5),
                        st.sampled_from(["-", "...", "'", "(ß)", "a-b", "é."]))
 
 
@@ -167,8 +167,30 @@ def e2e_corpus(draw):
     return pairs, annotations, knobs
 
 
-def _column_sums(rows, width):
-    return tuple(sum(row[k] for row in rows) for k in range(width))
+# _mean rounds three times: each per-sample rate, the fsum of the rates and
+# the quotient. Rates are never negative, so each rounding moves the mean by
+# at most 2**-53 of its size, and all three by less than 4 * 2**-53.
+_MACRO_TOLERANCE = Fraction(4, 2**53)
+
+
+def assert_corpus_equals_reference(corpus, reference):
+    """Counts, recall and sample counts equal; each macro mean within
+    _MACRO_TOLERANCE of the exact one, and NaN where that is None."""
+    assert corpus[:7] == reference[:7]
+    assert corpus.macro_recall.keys() == reference.macro_recall.keys()
+    means = [(corpus.macro_wer, reference.macro_wer), (corpus.macro_mwer, reference.macro_mwer),
+             (corpus.macro_mcer, reference.macro_mcer)]
+    for got, exact in means + [(corpus.macro_recall[c], reference.macro_recall[c]) for c in reference.macro_recall]:
+        if exact is None:
+            assert math.isnan(got)
+        else:
+            assert abs(Fraction(got) - exact) <= _MACRO_TOLERANCE * exact
+
+
+def _reference_samples(pairs, annotations, threshold=0.5, max_ngram=3, normalization="standard"):
+    return [reference_sample(pair.reference, pair.hypothesis,
+                             annotations[pair.id].entities if pair.id in annotations else (),
+                             threshold, max_ngram, normalization) for pair in pairs]
 
 
 @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
@@ -186,33 +208,36 @@ def test_evaluate_and_align_corpus_equal_the_reference_pipeline(request, monkeyp
     cfg = RunConfig(workers=workers, **knobs)
     totals, samples, _ = evaluate_corpus(pairs, annotations, cfg)
     records = [json.loads(line) for line in align_corpus(pairs, annotations, cfg).splitlines()]
-    oracles = []
-    for pair, sample in zip(pairs, samples, strict=True):
-        entities = annotations[pair.id].entities if pair.id in annotations else ()
-        oracle = reference_sample(pair.reference, pair.hypothesis, entities, knobs["threshold"],
-                                  knobs["max_ngram"], knobs["normalization"])
+    oracles = _reference_samples(pairs, annotations, **knobs)
+    for pair, sample, oracle in zip(pairs, samples, oracles, strict=True):
         assert sample.sample_id == pair.id
         assert sample.wer == oracle.wer
         assert sample.mwer == oracle.mwer
         assert sample.mcer == oracle.mcer
         assert sample.recall == oracle.recall
-        oracles.append(oracle)
 
     # the pairs are in id order, as align_corpus writes them
     assert [(r["candidate"] and r["candidate"]["normalized"], r["score"], r["exact"]) for r in records] == [
         (match and match.normalized, match.score if match else 0.0, exact)
         for o in oracles for match, exact in zip(o.alignment, o.exact)]
+    assert_corpus_equals_reference(totals, reference_corpus(oracles))
 
-    worded = [o for o in oracles if o.wer[4] > 0]
-    entitied = [o for o in oracles if o.mwer[4] > 0]
-    assert totals.wer == _column_sums([o.wer for o in worded], 5)
-    assert totals.mwer == _column_sums([o.mwer for o in entitied], 5)
-    assert totals.mcer == _column_sums([o.mcer for o in entitied], 5)
-    assert (totals.samples, totals.skipped_zero_word, totals.skipped_zero_entity) == (
-        len(oracles), len(oracles) - len(worded), len(oracles) - len(entitied))
-    categories = {cat for o in oracles for cat in o.recall}
-    assert totals.recall == {
-        cat: _column_sums([o.recall[cat] for o in oracles if cat in o.recall], 2) for cat in categories}
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+@pytest.mark.parametrize("corpus", ["golden", "synthetic"])
+def test_the_corpus_record_equals_the_reference_corpus(request, monkeypatch, workers, corpus):
+    if workers > 1:
+        request.getfixturevalue("forks")
+        two_cpus(monkeypatch)
+    if corpus == "golden":
+        pairs, annotations = load_golden()
+    else:
+        # every fifth sample unannotated, and one whose reference has no words
+        pairs, annotations = synthetic_corpus(30, seed=13)
+        pairs.append(TranscriptPair("s-punctuation", "...", "a b"))
+        annotations = {key: value for n, (key, value) in enumerate(annotations.items()) if n % 5}
+    totals, _, _ = evaluate_corpus(pairs, annotations, RunConfig(workers=workers))
+    assert_corpus_equals_reference(totals, reference_corpus(_reference_samples(pairs, annotations)))
 
 
 def test_evaluate_sample_shape():

@@ -159,6 +159,18 @@ def test_normalize_chunk_matches_reference(text):
     assert _normalize_chunk(text) == reference_normalize_chunk(text)
 
 
+def test_canonically_equal_chunks_normalize_alike():
+    # a combining mark is not alphanumeric: without NFC, a decomposed "é"
+    # would leave the hyphen without its flank
+    assert normalize(unicodedata.normalize("NFD", "Café-au-lait")) == "café-au-lait"
+
+
+@given(st.text())
+def test_normalize_chunk_ignores_the_canonical_form(text):
+    nfd, nfc = (unicodedata.normalize(form, text) for form in ("NFD", "NFC"))
+    assert _normalize_chunk(nfd) == _normalize_chunk(nfc)
+
+
 def test_normalization_follows_the_interpreters_unicode_database():
     # U+061D ARABIC END OF TEXT MARK: unassigned in Unicode 13.0 (Python
     # 3.10), so kept; punctuation (Po) from 14.0 on (Python 3.11+), so dropped
