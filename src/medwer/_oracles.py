@@ -132,14 +132,17 @@ def reference_edit_counts(ref, hyp):
 def reference_normalize_chunk(chunk):
     """Compose one whitespace-free chunk (NFC), lowercase it and drop its
     punctuation, keeping a hyphen, apostrophe or period only between two
-    alphanumerics."""
+    alphanumerics, where the one before is the last character before it that
+    is not a combining mark."""
     low = unicodedata.normalize("NFC", chunk).lower()
     out = []
     for i, ch in enumerate(low):
         if not unicodedata.category(ch).startswith("P"):
             out.append(ch)
-        elif ch in "-'." and 0 < i < len(low) - 1 and low[i - 1].isalnum() and low[i + 1].isalnum():
-            out.append(ch)
+        elif ch in "-'." and low[i + 1:i + 2].isalnum():
+            bases = [c for c in low[:i] if not unicodedata.category(c).startswith("M")]
+            if bases and bases[-1].isalnum():
+                out.append(ch)
     return "".join(out)
 
 

@@ -78,14 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_config(args: argparse.Namespace) -> RunConfig:
     """The run's RunConfig; raises ValueError for a bad knob, or for a report
     section that the format cannot hold."""
-    fields = {key: value for key, value in vars(args).items()
-              if key not in ("command", "manifest", "annotations", "strict", "out", "fmt", "per_sample")}
-    raw = fields.pop("group_by", None)
-    if raw is not None:
-        fields["group_by"] = tuple(key.strip() for key in raw.split(",") if key.strip())
-        if not fields["group_by"]:
-            raise ValueError(f"group-by {raw!r} names no key; expected a subset of {GROUP_KEYS}")
-    cfg = RunConfig(**fields)
+    raw = getattr(args, "group_by", None)  # align has no --group-by
+    group_by = () if raw is None else tuple(key.strip() for key in raw.split(",") if key.strip())
+    if raw is not None and not group_by:
+        raise ValueError(f"group-by {raw!r} names no key; expected a subset of {GROUP_KEYS}")
+    cfg = RunConfig(threshold=args.threshold, max_ngram=args.max_ngram, normalization=args.normalization,
+                    group_by=group_by, workers=args.workers)
     if args.command == "evaluate":
         if args.fmt == "csv" and cfg.group_by:
             raise ValueError("csv reports have no group rows; use json or table with group-by")

@@ -228,23 +228,22 @@ def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False,
 # --- report serialization ---------------------------------------------------
 
 
-def _format_float(value: float) -> str:
-    # four decimals, IEEE round-half-even via standard formatting; NaN -> null
-    if math.isnan(value):
-        return "null"
-    return f"{value:.4f}"
+def _rate(value: float, missing: str) -> str:
+    """Four decimals, IEEE round-half-even via standard formatting; NaN, the
+    rate of a zero total, is the format's missing value."""
+    return missing if math.isnan(value) else f"{value:.4f}"
 
 
 def _counts_json(counts: EditCounts, pad: str, macro: float | None = None) -> str:
     """Counts whose key sits on a line indented by pad; a macro adds macro_rate."""
     inner = pad + "  "
-    tail = "" if macro is None else f',\n{inner}"macro_rate": {_format_float(macro)}'
+    tail = "" if macro is None else f',\n{inner}"macro_rate": {_rate(macro, "null")}'
     return (f'{{\n{inner}"substitutions": {counts.substitutions},\n'
             f'{inner}"insertions": {counts.insertions},\n'
             f'{inner}"deletions": {counts.deletions},\n'
             f'{inner}"hits": {counts.hits},\n'
             f'{inner}"ref_len": {counts.ref_len},\n'
-            f'{inner}"rate": {_format_float(counts.rate)}{tail}\n{pad}}}')
+            f'{inner}"rate": {_rate(counts.rate, "null")}{tail}\n{pad}}}')
 
 
 def _recall_json(recall: dict[EntityCategory, RecallCount], pad: str,
@@ -253,9 +252,9 @@ def _recall_json(recall: dict[EntityCategory, RecallCount], pad: str,
     entries = []
     for cat in CATEGORIES:
         if (rc := recall.get(cat)) is not None:
-            tail = "" if macro is None else f',\n{field}"macro_rate": {_format_float(macro.get(cat, math.nan))}'
+            tail = "" if macro is None else f',\n{field}"macro_rate": {_rate(macro.get(cat, math.nan), "null")}'
             entries.append(f'{inner}"{cat.value}": {{\n{field}"recalled": {rc.recalled},\n'
-                           f'{field}"total": {rc.total},\n{field}"rate": {_format_float(rc.rate)}{tail}\n{inner}}}')
+                           f'{field}"total": {rc.total},\n{field}"rate": {_rate(rc.rate, "null")}{tail}\n{inner}}}')
     return "{\n" + ",\n".join(entries) + f"\n{pad}}}" if entries else "{}"
 
 
@@ -283,7 +282,7 @@ def render_json(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None,
                 config: dict | None, groups: dict[str, CorpusMetrics] | None) -> str:
     blocks = []
     if config is not None:
-        blocks.append(f'  "config": {{\n    "threshold": {_format_float(float(config["threshold"]))},\n'
+        blocks.append(f'  "config": {{\n    "threshold": {_rate(float(config["threshold"]), "null")},\n'
                       f'    "max_ngram": {int(config["max_ngram"])},\n'
                       f'    "normalization": {json.dumps(str(config["normalization"]))}\n  }}')
     blocks.append(f'  "corpus": {_metrics_json(corpus, "  ")}')
@@ -294,9 +293,6 @@ def render_json(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None,
         rows = ",\n".join(map(_sample_json, per_sample))
         blocks.append(f'  "per_sample": [\n{rows}\n  ]' if per_sample else '  "per_sample": []')
     return "{\n" + ",\n".join(blocks) + "\n}\n"
-
-
-_CSV_RATE = lambda v: "" if math.isnan(v) else f"{v:.4f}"
 
 
 def render_csv(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None) -> str:
@@ -311,13 +307,13 @@ def render_csv(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None) ->
         cells: list = [label]
         for counts in (m.wer, m.mwer, m.mcer):
             cells += [counts.substitutions, counts.insertions, counts.deletions,
-                      counts.hits, counts.ref_len, _CSV_RATE(counts.rate)]
+                      counts.hits, counts.ref_len, _rate(counts.rate, "")]
         for cat in CATEGORIES:
             rc = m.recall.get(cat)
             if rc is None:
                 cells += ["", "", ""]
             else:
-                cells += [rc.recalled, rc.total, _CSV_RATE(rc.rate)]
+                cells += [rc.recalled, rc.total, _rate(rc.rate, "")]
         return cells
 
     buf = io.StringIO()
@@ -333,13 +329,9 @@ def render_table(corpus: CorpusMetrics, groups: dict[str, CorpusMetrics] | None)
     header = ["", "samples", "WER", "M-WER", "M-CER"] + [c.value for c in TABLE_RECALL_ORDER]
 
     def cells(label: str, m: CorpusMetrics) -> list[str]:
-        out = [label, str(m.samples)]
-        for counts in (m.wer, m.mwer, m.mcer):
-            out.append("-" if math.isnan(counts.rate) else f"{counts.rate:.4f}")
-        for cat in TABLE_RECALL_ORDER:
-            rc = m.recall.get(cat)
-            out.append("-" if rc is None or rc.total == 0 else f"{rc.rate:.4f}")
-        return out
+        rates = [m.wer.rate, m.mwer.rate, m.mcer.rate]
+        rates += [m.recall.get(cat, RecallCount()).rate for cat in TABLE_RECALL_ORDER]
+        return [label, str(m.samples), *(_rate(rate, "-") for rate in rates)]
 
     rows = [header, cells("corpus", corpus)]
     for key in sorted(groups or {}):

@@ -1,13 +1,14 @@
 """End-to-end evaluation: `evaluate` aligns and scores each sample, then
 aggregates; `align` only aligns.
 
-Per-sample work is pure. Each command hands _run_shards one step, a function
-of a contiguous range of its ordered samples. The step runs once per range,
-one range per worker: in this process for the first range, and in one
-POSIX-forked child per other range where the platform has fork. Children
-inherit the loaded corpus, so nothing is sent to them. Results are joined in
-range order and every count is an integer sum, so the output does not depend
-on the worker count.
+Per-sample work is pure, so each command is a map then a reduce: it hands
+_run_shards one function of one sample, gets back that function's result for
+every sample in order, and sums or joins them. _run_shards splits the
+samples into contiguous ranges, one per worker: this process maps the first
+range, and one POSIX-forked child per other range maps the rest where the
+platform has fork. Children inherit the loaded corpus, so nothing is sent to
+them. Every count is an integer sum, so the output does not depend on the
+worker count.
 
 Each `align` record is rendered from one fixed template, which the tests
 check against the record's dict written by json.dumps.
@@ -77,26 +78,22 @@ def _eval_task(pair: TranscriptPair, annotations: dict[str, AnnotationSet],
                                   medical_wer(aligned), medical_cer(aligned), entity_recall(aligned))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: os.cpu_count() also counts those that a
-    taskset or cpuset excludes, so the affinity mask comes first."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_shards(step: Callable[[Sequence], object], items: Sequence, workers: int) -> list:
-    """step(range) for contiguous ranges of the items, in order.
+def _run_shards(fn: Callable, items: Sequence, workers: int) -> list:
+    """list(map(fn, items)), mapped in contiguous ranges of the items.
 
     There is one range per worker, clamped to the items and the usable CPUs.
-    This process forks a child for every range after the first, runs the step
-    on the first itself, then reads each child's pickled result from its pipe
-    in order and reaps that child. A child's exception re-raises here; on any
-    failure every child not yet reaped is killed and reaped before the raise.
+    This process forks a child for every range after the first, maps the
+    first range itself, then reads each child's pickled list from its pipe in
+    order, appends it and reaps that child. A child's exception re-raises
+    here; on any failure every child not yet reaped is killed and reaped
+    before the raise.
     """
-    shards = min(workers, len(items), _usable_cpus())
+    # os.cpu_count() also counts the CPUs that a taskset or cpuset excludes,
+    # so the affinity mask comes first.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    shards = min(workers, len(items), cpus)
     if shards < 2 or not hasattr(os, "fork"):
-        return [step(items)]
+        return list(map(fn, items))
     import pickle
     import signal
 
@@ -112,7 +109,7 @@ def _run_shards(step: Callable[[Sequence], object], items: Sequence, workers: in
                 code = 1
                 try:
                     try:
-                        result = (True, step(items[lo:hi]))
+                        result = (True, list(map(fn, items[lo:hi])))
                     except BaseException as exc:  # the parent re-raises it
                         result = (False, exc)
                     with open(write_fd, "wb") as pipe:
@@ -122,7 +119,7 @@ def _run_shards(step: Callable[[Sequence], object], items: Sequence, workers: in
                     os._exit(code)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        results = [step(items[:bounds[1]])]
+        results = list(map(fn, items[:bounds[1]]))
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -135,7 +132,7 @@ def _run_shards(step: Callable[[Sequence], object], items: Sequence, workers: in
             ok, value = pickle.loads(payload)
             if not ok:
                 raise value
-            results.append(value)
+            results += value
         return results
     finally:
         for pid, pipe in children:
@@ -152,18 +149,14 @@ def evaluate_corpus(pairs: list[TranscriptPair], annotations: dict[str, Annotati
     show up in the skipped_zero_entity count. An INFO line on stderr counts
     the entities that share a hypothesis span with another.
     """
-    def step(part: list[TranscriptPair]) -> tuple[list[SampleMetrics], int]:
-        part_samples, shared = [], 0
-        for pair in part:
-            aligned, sample = _eval_task(pair, annotations, cfg)
-            part_samples.append(sample)
-            shared += shared_span_count(aligned)
-        return part_samples, shared
+    def score(pair: TranscriptPair) -> tuple[SampleMetrics, int]:
+        aligned, sample = _eval_task(pair, annotations, cfg)
+        return sample, shared_span_count(aligned)
 
     samples, reused = [], 0
-    for shard_samples, shard_reused in _run_shards(step, pairs, cfg.workers):
-        samples += shard_samples
-        reused += shard_reused
+    for sample, shared in _run_shards(score, pairs, cfg.workers):
+        samples.append(sample)
+        reused += shared
     if reused:
         print(f"INFO {reused} entities aligned to a hypothesis span shared with another entity",
               file=sys.stderr)
@@ -189,12 +182,12 @@ def _group_label(keys: tuple[str, ...], values: tuple[str, ...]) -> str:
 def align_corpus(pairs: list[TranscriptPair], annotations: dict[str, AnnotationSet],
                  cfg: RunConfig) -> str:
     """Per-entity alignment records as JSON lines, ordered by (sample id, entity begin)."""
-    def step(part: list[TranscriptPair]) -> str:
-        return "".join(_record_json(pair.id, ae) for pair in part for ae in med_text_align(
+    def records(pair: TranscriptPair) -> str:
+        return "".join([_record_json(pair.id, ae) for ae in med_text_align(
             annotations[pair.id].entities if pair.id in annotations else (), pair.hypothesis,
-            cfg.threshold, cfg.max_ngram, cfg.normalization))
+            cfg.threshold, cfg.max_ngram, cfg.normalization)])
 
-    return "".join(_run_shards(step, sorted(pairs, key=lambda p: p.id), cfg.workers))
+    return "".join(_run_shards(records, sorted(pairs, key=lambda p: p.id), cfg.workers))
 
 
 def _record_json(sample_id: str, ae: AlignedEntity) -> str:

@@ -3,12 +3,13 @@
 Two normalization policies are supported. "standard" puts each chunk in
 Unicode's composed form (NFC), lowercases, collapses whitespace runs to
 single spaces, and strips punctuation, keeping hyphen, apostrophe, and
-period only when flanked by alphanumerics on both sides (so
-"non-productive" stays one word while a trailing comma never blocks a
-match). NFC comes first, so canonically equal texts, such as a decomposed
-and a precomposed "é", normalize alike. "raw" leaves token surfaces
-untouched and only splits on whitespace. Normalization follows the running
-interpreter's Unicode database.
+period only when flanked by alphanumerics on both sides, a combining mark
+counting as part of the letter before it (so "non-productive" stays one
+word while a trailing comma never blocks a match). NFC comes first, so
+canonically equal texts, such as a decomposed and a precomposed "é",
+normalize alike. "raw" leaves token surfaces untouched and only splits on
+whitespace. Normalization follows the running interpreter's Unicode
+database.
 
 A token is a chunk of str.split() whose normalized form is not empty; a
 sequence keeps the chunks and their normalized forms as two parallel lists.
@@ -61,7 +62,9 @@ def _normalize_chunk(chunk: str) -> str:
     and drop punctuation.
 
     A punctuation character survives only if it is a hyphen, apostrophe, or
-    period with alphanumeric neighbours on both sides.
+    period with alphanumeric neighbours on both sides. A combining mark (M*)
+    belongs to the letter before it, so the left neighbour is the nearest
+    character that is not a mark.
     """
     # ASCII text is already in NFC.
     low = (chunk if chunk.isascii() else unicodedata.normalize("NFC", chunk)).lower()
@@ -73,8 +76,12 @@ def _normalize_chunk(chunk: str) -> str:
     out = []
     for i, ch in enumerate(low):
         if unicodedata.category(ch).startswith("P"):
-            if ch in _KEEP_FLANKED and 0 < i < n - 1 and low[i - 1].isalnum() and low[i + 1].isalnum():
-                out.append(ch)
+            if ch in _KEEP_FLANKED and 0 < i < n - 1 and low[i + 1].isalnum():
+                left = i - 1
+                while left and not low[left].isalnum() and unicodedata.category(low[left])[0] == "M":
+                    left -= 1
+                if low[left].isalnum():
+                    out.append(ch)
         else:
             out.append(ch)
     return "".join(out)

@@ -238,6 +238,20 @@ def test_json_past_the_parser_limits_exits_two_with_one_line(tmp_path, broken, l
     assert message.startswith(f"medwer: error: {path}:{1 if broken == 'a.jsonl' else 2}: ")
 
 
+@pytest.mark.parametrize("broken", ["m.jsonl", "a.jsonl"], ids=["manifest", "annotations"])
+@pytest.mark.parametrize("line, kind", [("[]", "list"), ("3", "int"), ('"x"', "str"), ("null", "NoneType")])
+def test_a_line_that_is_not_an_object_exits_two_with_one_line(tmp_path, capsys, broken, line, kind):
+    files = {"m.jsonl": json.dumps(_PAIR), "a.jsonl": json.dumps({"id": "s1", "entities": []}), broken: line}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n", encoding="utf-8")
+    code = cli.main(["evaluate", "--manifest", str(tmp_path / "m.jsonl"),
+                     "--annotations", str(tmp_path / "a.jsonl")])
+    assert code == cli.EXIT_INGESTION
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()) == (
+        "", [f"medwer: error: {tmp_path / broken}:1: expected an object, got {kind}"])
+
+
 def test_strict_mode_requires_annotations_for_every_sample(tmp_path, capsys):
     manifest = write_jsonl(tmp_path / "m.jsonl", [
         {"id": "s1", "reference": "the cough", "hypothesis": "x"},
@@ -306,6 +320,16 @@ def test_missing_required_flag_is_a_usage_error(capsys):
 def test_cli_defaults_are_the_run_config_defaults(command):
     args = cli.build_parser().parse_args([command, "--manifest", "m", "--annotations", "a"])
     assert cli._run_config(args) == RunConfig()
+
+
+@pytest.mark.parametrize("command, group_by", [("evaluate", ("accent", "model")), ("align", ())])
+def test_run_config_takes_the_five_scoring_flags_and_no_other(command, group_by):
+    extra = ["--group-by", "accent, model"] if group_by else []
+    args = cli.build_parser().parse_args([command, "--manifest", "m", "--annotations", "a",
+                                          "--threshold", "0.75", "--max-ngram", "2",
+                                          "--normalization", "raw", "--workers", "3", *extra])
+    args.a_flag_run_config_does_not_hold = True
+    assert cli._run_config(args) == RunConfig(0.75, 2, "raw", group_by, 3)
 
 
 def test_every_public_name_resolves_and_is_listed_once():

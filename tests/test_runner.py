@@ -4,7 +4,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import dump_corpus
@@ -331,16 +331,42 @@ def test_align_corpus_only_aligns(request, monkeypatch, workers):
 
 
 @needs_fork
-def test_run_shards_maps_a_plain_step_over_contiguous_ranges(monkeypatch, forks):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+@seed(25)
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(items=st.lists(st.integers(), max_size=9), workers=st.integers(1, 4))
+def test_run_shards_is_a_map_over_contiguous_ranges(monkeypatch, forks, items, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    forked = len(forks)
 
-    def double(part):
-        return [x * 2 for x in part]
+    def double(x):
+        return x * 2, os.getpid()
 
-    ranges = runner._run_shards(double, range(7), 3)
-    assert ranges == [[0, 2], [4, 6], [8, 10, 12]]
-    assert len(forks) == 2
-    assert sum(ranges, []) == double(range(7)) == runner._run_shards(double, range(7), 1)[0]
+    mapped = runner._run_shards(double, items, workers)
+    # list(map(double, items)), where the parent maps the first range and
+    # the k-th child the k-th range after it
+    shards = min(workers, len(items), 4)
+    assert len(forks) - forked == max(shards - 1, 0)
+    mappers = [os.getpid(), *forks[forked:]]
+    bounds = [len(items) * k // max(shards, 1) for k in range(shards + 1)]
+    assert mapped == [(x * 2, mappers[k]) for k in range(shards) for x in items[bounds[k]:bounds[k + 1]]]
+
+
+@needs_fork
+def test_a_child_that_exits_without_a_result_names_its_exit_code(monkeypatch, forks):
+    two_cpus(monkeypatch)
+    parent = os.getpid()
+
+    def exit_in_a_child(x):
+        if os.getpid() != parent:
+            os._exit(7)
+        return x
+
+    with pytest.raises(ChildProcessError, match=r"exited with code 7 and sent no result"):
+        runner._run_shards(exit_in_a_child, range(4), 2)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_without_fork_the_run_is_serial(monkeypatch):

@@ -1,7 +1,7 @@
 import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from medwer._oracles import oracle_candidates, reference_normalize_chunk, reference_tokens
@@ -33,6 +33,16 @@ def test_internal_punctuation_kept_when_flanked():
     assert normalize("Non-Productive  COUGH.") == "non-productive cough"
     assert normalize("it's u.s.a.") == "it's u.s.a"
     assert normalize("(cough)") == "cough"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("\u0130-x", "i\u0307-x"),  # "İ" lowercases to "i" and a combining dot above
+    # a Yoruba vowel with a dot below and a grave, which has no precomposed form
+    ("o\u0323\u0300-o\u0323\u0300", "\u1ecd\u0300-\u1ecd\u0300"),
+    ("\u0958-x", "\u0915\u093c-x"),  # NFC leaves "क़" as a base and a nukta
+], ids=["dotted-I", "yoruba", "nukta"])
+def test_a_combining_mark_belongs_to_the_letter_before_it(text, expected):
+    assert normalize(text) == expected
 
 
 def test_unflanked_internal_punctuation_dropped():
@@ -155,13 +165,16 @@ def test_ngram_reconstruction(text, max_n):
 
 
 @given(st.text())
+@example("\u0130-x")
+@example("a\u0301\u0300'b")
+@example("\u0301-b")
+@example(".\u0301-b")
 def test_normalize_chunk_matches_reference(text):
     assert _normalize_chunk(text) == reference_normalize_chunk(text)
 
 
 def test_canonically_equal_chunks_normalize_alike():
-    # a combining mark is not alphanumeric: without NFC, a decomposed "é"
-    # would leave the hyphen without its flank
+    # without NFC, a decomposed "é" would stay two code points
     assert normalize(unicodedata.normalize("NFD", "Café-au-lait")) == "café-au-lait"
 
 
