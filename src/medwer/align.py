@@ -51,9 +51,6 @@ class EntityCategory(str, Enum):
     TTP = "TTP"    # test, treatment, procedure
     PHI = "PHI"    # protected health information
 
-    def __str__(self) -> str:
-        return self.value
-
 
 CATEGORIES = tuple(EntityCategory)  # report order; a tuple iterates faster than the enum
 

@@ -116,8 +116,7 @@ def main(argv=None) -> int:
                                        normalization=cfg.normalization)
         if args.command == "evaluate":
             corpus, samples, groups = evaluate_corpus(pairs, annotations, cfg)
-            write_report(corpus, samples if args.per_sample else None, args.fmt, args.out,
-                         config=cfg.config_dict(), groups=groups)
+            write_report(corpus, samples if args.per_sample else None, args.fmt, args.out, cfg, groups)
         else:
             write_output(align_corpus(pairs, annotations, cfg), args.out)
     except (IngestionError, OSError) as e:

@@ -11,13 +11,13 @@ surrogate is rejected: it is not Unicode text, and no report could be
 written from it. So is a line nested past the parser's depth limit or with
 an integer past the interpreter's digit limit.
 
-Reports are written as json, csv, or a human-readable table; nothing reads
-them back. Output is byte-identical for identical inputs, wherever it goes:
-it is written as UTF-8 to a file or to stdout alike, field order is fixed
-and every rate is rendered with four decimals (half-even, via standard float
-formatting). Every block of a json report (config, corpus, groups and
-per_sample rows) comes from fixed templates, which the tests check against
-a generic rendering of the whole report as one dict.
+Every output byte is rendered here: json, csv or table reports, `align`
+records and group labels; nothing reads them back. Output is byte-identical
+for identical inputs, wherever it goes: it is written as UTF-8 to a file or
+to stdout alike, field order is fixed and every rate has four decimals
+(half-even, via standard float formatting). Every json report block (config,
+corpus, groups, per_sample rows) and every `align` record comes from a fixed
+template, which the tests check against a generic rendering of its dict.
 """
 
 import csv
@@ -29,10 +29,14 @@ import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .align import CATEGORIES, EntityAnnotation, EntityCategory
+from .align import CATEGORIES, AlignedEntity, EntityAnnotation, EntityCategory
 from .metrics import CorpusMetrics, EditCounts, RecallCount, SampleMetrics
 from .textnorm import normalize
+
+if TYPE_CHECKING:  # runner imports this module
+    from .runner import RunConfig
 
 REPORT_FORMATS = ("json", "csv", "table")
 
@@ -225,7 +229,31 @@ def load_annotations(path, manifest: list[TranscriptPair], strict: bool = False,
     return out
 
 
-# --- report serialization ---------------------------------------------------
+# --- output serialization ---------------------------------------------------
+
+
+def group_label(keys: tuple[str, ...], values: tuple[str, ...]) -> str:
+    """key=value pairs joined by commas; a value holding a comma, an equals sign or a
+    double quote is a JSON string literal, so distinct groups get distinct labels,
+    and one that is not printable (a line break, a tab) is an ASCII-escaped one,
+    so a table row stays on one line."""
+    shown = (v if v.isprintable() and set(',="').isdisjoint(v)
+             else json.dumps(v, ensure_ascii=not v.isprintable()) for v in values)
+    return ",".join(f"{key}={value}" for key, value in zip(keys, shown))
+
+
+def align_record(sample_id: str, ae: AlignedEntity) -> str:
+    """One alignment record as a JSON line, from a fixed template. Only the
+    strings need escaping; a score is a finite float, which json.dumps
+    writes as its repr."""
+    entity, span = ae.entity, ae.candidate
+    candidate = "null" if span is None else (
+        f'{{"surface": {json.dumps(span.surface)}, "normalized": {json.dumps(span.normalized)}, '
+        f'"start_token": {span.start_token}, "length_tokens": {span.length_tokens}}}')
+    return (f'{{"id": {json.dumps(sample_id)}, "entity": {{"text": {json.dumps(entity.text)}, '
+            f'"category": "{entity.category.value}", "begin": {entity.begin}, "end": {entity.end}}}, '
+            f'"candidate": {candidate}, "score": {ae.score!r}, '
+            f'"exact": {"true" if ae.exact else "false"}}}\n')
 
 
 def _rate(value: float, missing: str) -> str:
@@ -279,13 +307,11 @@ def _sample_json(sample: SampleMetrics) -> str:
 
 
 def render_json(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None,
-                config: dict | None, groups: dict[str, CorpusMetrics] | None) -> str:
-    blocks = []
-    if config is not None:
-        blocks.append(f'  "config": {{\n    "threshold": {_rate(float(config["threshold"]), "null")},\n'
-                      f'    "max_ngram": {int(config["max_ngram"])},\n'
-                      f'    "normalization": {json.dumps(str(config["normalization"]))}\n  }}')
-    blocks.append(f'  "corpus": {_metrics_json(corpus, "  ")}')
+                cfg: "RunConfig", groups: dict[str, CorpusMetrics] | None) -> str:
+    blocks = [f'  "config": {{\n    "threshold": {cfg.threshold:.4f},\n'
+              f'    "max_ngram": {cfg.max_ngram},\n'
+              f'    "normalization": {json.dumps(cfg.normalization)}\n  }}',
+              f'  "corpus": {_metrics_json(corpus, "  ")}']
     if groups:
         rows = ",\n".join(f'    {json.dumps(key)}: {_metrics_json(groups[key], "    ")}' for key in sorted(groups))
         blocks.append(f'  "groups": {{\n{rows}\n  }}')
@@ -358,12 +384,12 @@ def write_output(text: str, path) -> None:
 
 
 def write_report(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None,
-                 fmt: str, path, config: dict | None = None,
+                 fmt: str, path, cfg: "RunConfig",
                  groups: dict[str, CorpusMetrics] | None = None) -> None:
     """Render a report and write it through write_output: to the file at path,
     or to stdout when path is None."""
     if fmt == "json":
-        text = render_json(corpus, per_sample, config, groups)
+        text = render_json(corpus, per_sample, cfg, groups)
     elif fmt == "csv":
         text = render_csv(corpus, per_sample)
     elif fmt == "table":

@@ -189,11 +189,12 @@ def run_selfcheck() -> bool:
     Each golden sample is scored by runner._eval_task, the per-sample step
     that evaluate runs, and meets the frozen file in golden-alignment
     (candidates, exact flags), oracle-scores and oracle-metrics ((errors,
-    ref_len)), and reference_sample in oracle-scores (its best candidate's
-    score, 0.0 for none) and oracle-metrics (S/I/D/hits). The identity and
-    empty-hypothesis groups check two of those samples against the
-    definitions. fixture-load fails when the three files name different
-    samples or a group has no pair. Returns True when everything passes.
+    ref_len), recall), and reference_sample in oracle-scores (its best
+    candidate's score, 0.0 for none) and oracle-metrics (S/I/D/hits,
+    recall). The identity and empty-hypothesis groups check two of those
+    samples against the definitions. fixture-load fails when the three files
+    name different samples or a group has no pair. Returns True when
+    everything passes.
     """
     failures = 0
 
@@ -263,6 +264,11 @@ def run_selfcheck() -> bool:
             if split != oracle_split:
                 ok, detail = False, f"{metric}: pipeline S/I/D/hits {split} != oracle {oracle_split}"
                 break
+        recall = {cat.value: tuple(count) for cat, count in sample.recall.items()}
+        frozen = {label: (e["recalled"], e["total"]) for label, e in exp["recall"].items()}
+        for source, want in (("frozen", frozen), ("oracle", {c.value: n for c, n in oracle.recall.items()})):
+            if ok and recall != want:
+                ok, detail = False, f"recall: pipeline {recall}, {source} {want}"
         report(f"oracle-metrics[{pair.id}]", ok, detail)
 
     aligned, observed = scored[next(p.id for p in pairs if p.reference == p.hypothesis)]

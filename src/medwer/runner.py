@@ -8,26 +8,22 @@ samples into contiguous ranges, one per worker: this process maps the first
 range, and one POSIX-forked child per other range maps the rest where the
 platform has fork. Children inherit the loaded corpus, so nothing is sent to
 them. Every count is an integer sum, so the output does not depend on the
-worker count.
-
-Each `align` record is rendered from one fixed template, which the tests
-check against the record's dict written by json.dumps.
+worker count. Every byte a command writes, an `align` record or a group
+label included, is rendered by corpus.
 """
 
-import json
 import os
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .align import DEFAULT_THRESHOLD, AlignedEntity, med_text_align, shared_span_count
-from .corpus import AnnotationSet, TranscriptPair
+from .corpus import AnnotationSet, TranscriptPair, align_record, group_label
 from .metrics import (CorpusMetrics, SampleMetrics, aggregate, entity_recall,
                       medical_cer, medical_wer, wer)
 from .textnorm import DEFAULT_MAX_NGRAM, NORMALIZATION_MODES, tokenize
 
 GROUP_KEYS = ("model", "accent", "domain")
-_QUOTE_TRIGGERS = frozenset(',="')
 
 
 # A dataclass, not a tuple: __post_init__ validates it when it is constructed.
@@ -59,10 +55,6 @@ class RunConfig:
             raise ValueError(f"unknown group-by key(s) {sorted(unknown)}; expected a subset of {GROUP_KEYS}")
         if len(set(self.group_by)) < len(self.group_by):
             raise ValueError(f"repeated group-by key in {','.join(self.group_by)}")
-
-    def config_dict(self) -> dict:
-        return {"threshold": self.threshold, "max_ngram": self.max_ngram,
-                "normalization": self.normalization}
 
 
 def _eval_task(pair: TranscriptPair, annotations: dict[str, AnnotationSet],
@@ -164,41 +156,18 @@ def evaluate_corpus(pairs: list[TranscriptPair], annotations: dict[str, Annotati
     buckets: dict[tuple[str, ...], list[SampleMetrics]] = {}
     for pair, sample in zip(pairs, samples) if cfg.group_by else ():
         buckets.setdefault(tuple(getattr(pair, k) or "" for k in cfg.group_by), []).append(sample)
-    labels = {_group_label(cfg.group_by, values): values for values in buckets}
+    labels = {group_label(cfg.group_by, values): values for values in buckets}
     groups = {label: aggregate(buckets[labels[label]]) for label in sorted(labels)}
     return aggregate(samples), samples, groups
-
-
-def _group_label(keys: tuple[str, ...], values: tuple[str, ...]) -> str:
-    """key=value pairs joined by commas; a value holding a comma, an equals sign or a
-    double quote is a JSON string literal, so distinct groups get distinct labels,
-    and one that is not printable (a line break, a tab) is an ASCII-escaped one,
-    so a table row stays on one line."""
-    shown = (v if v.isprintable() and not _QUOTE_TRIGGERS.intersection(v)
-             else json.dumps(v, ensure_ascii=not v.isprintable()) for v in values)
-    return ",".join(f"{key}={value}" for key, value in zip(keys, shown))
 
 
 def align_corpus(pairs: list[TranscriptPair], annotations: dict[str, AnnotationSet],
                  cfg: RunConfig) -> str:
     """Per-entity alignment records as JSON lines, ordered by (sample id, entity begin)."""
     def records(pair: TranscriptPair) -> str:
-        return "".join([_record_json(pair.id, ae) for ae in med_text_align(
+        return "".join([align_record(pair.id, ae) for ae in med_text_align(
             annotations[pair.id].entities if pair.id in annotations else (), pair.hypothesis,
             cfg.threshold, cfg.max_ngram, cfg.normalization)])
 
     return "".join(_run_shards(records, sorted(pairs, key=lambda p: p.id), cfg.workers))
 
-
-def _record_json(sample_id: str, ae: AlignedEntity) -> str:
-    """One alignment record as a JSON line, from a fixed template. Only the
-    strings need escaping; a score is a finite float, which json.dumps
-    writes as its repr."""
-    entity, span = ae.entity, ae.candidate
-    candidate = "null" if span is None else (
-        f'{{"surface": {json.dumps(span.surface)}, "normalized": {json.dumps(span.normalized)}, '
-        f'"start_token": {span.start_token}, "length_tokens": {span.length_tokens}}}')
-    return (f'{{"id": {json.dumps(sample_id)}, "entity": {{"text": {json.dumps(entity.text)}, '
-            f'"category": "{entity.category.value}", "begin": {entity.begin}, "end": {entity.end}}}, '
-            f'"candidate": {candidate}, "score": {ae.score!r}, '
-            f'"exact": {"true" if ae.exact else "false"}}}\n')

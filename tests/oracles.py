@@ -111,14 +111,12 @@ def _metrics_dict(m):
     }
 
 
-def reference_report_json(corpus, per_sample, config, groups):
+def reference_report_json(corpus, per_sample, cfg, groups):
     """A whole JSON report, built as one dict (per_sample as a list) and
     rendered by the generic writer."""
-    doc = {}
-    if config is not None:
-        doc["config"] = {"threshold": float(config["threshold"]), "max_ngram": int(config["max_ngram"]),
-                         "normalization": str(config["normalization"])}
-    doc["corpus"] = _metrics_dict(corpus)
+    doc = {"config": {"threshold": float(cfg.threshold), "max_ngram": cfg.max_ngram,
+                      "normalization": cfg.normalization},
+           "corpus": _metrics_dict(corpus)}
     if groups:
         doc["groups"] = {key: _metrics_dict(groups[key]) for key in sorted(groups)}
     if per_sample is not None:

@@ -10,9 +10,9 @@ import pytest
 import medwer
 
 from helpers import dump_corpus, write_jsonl
-from medwer import cli, fixtures, metrics
+from medwer import cli, fixtures, metrics, runner
 from medwer.fixtures import load_golden
-from medwer.metrics import EditCounts
+from medwer.metrics import EditCounts, RecallCount
 from medwer.runner import RunConfig
 
 
@@ -425,6 +425,18 @@ def test_selfcheck_flags_a_wrong_edit_split(monkeypatch, capsys):
     assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
     out = capsys.readouterr().out
     assert "FAIL oracle-metrics[t2r1]: wer: pipeline S/I/D/hits" in out
+
+
+def test_selfcheck_flags_a_wrong_recall(monkeypatch, capsys):
+    exact = runner.entity_recall
+
+    def miscounted(aligned):
+        return {cat: RecallCount(count.recalled, count.total + 2) for cat, count in exact(aligned).items()}
+
+    monkeypatch.setattr(runner, "entity_recall", miscounted)
+    assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
+    out = capsys.readouterr().out
+    assert "FAIL oracle-metrics[t2r1]: recall: pipeline {'MED': (0, 5)}, frozen {'MED': (0, 3)}" in out
 
 
 def test_selfcheck_reports_missing_fixture_file(monkeypatch, capsys):

@@ -16,6 +16,7 @@ from medwer.corpus import (AnnotationError, ManifestError, TranscriptPair, _samp
 from medwer.fixtures import fixture_path, load_golden, synthetic_corpus
 from medwer.metrics import CorpusMetrics, EditCounts, RecallCount, SampleMetrics, aggregate
 from medwer.runner import RunConfig, evaluate_corpus
+from medwer.textnorm import NORMALIZATION_MODES
 from oracles import reference_report_json
 
 
@@ -360,7 +361,7 @@ def test_json_report_formats_rates_to_four_decimals(tmp_path):
     pairs, annotations = load_golden()
     corpus, samples, _ = evaluate_corpus(pairs, annotations, RunConfig())
     path = tmp_path / "r.json"
-    write_report(corpus, samples, "json", path, config=RunConfig().config_dict())
+    write_report(corpus, samples, "json", path, RunConfig())
     text = path.read_text()
     assert '"rate": 1.3333' in text          # t2r1 medical WER of 4/3
     assert '"threshold": 0.5000' in text
@@ -372,13 +373,13 @@ def test_json_report_formats_rates_to_four_decimals(tmp_path):
 def test_json_report_null_rate_for_zero_denominator(tmp_path):
     corpus, samples, _ = evaluate_corpus(*load_golden(), RunConfig())
     t1_empty = [s for s in samples if s.sample_id == "t1_empty"]
-    write_report(corpus, t1_empty, "json", tmp_path / "r.json")
+    write_report(corpus, t1_empty, "json", tmp_path / "r.json", RunConfig())
     doc = json.loads((tmp_path / "r.json").read_text())
     assert doc["per_sample"][0]["mwer"]["rate"] == 1.0
     pairs, annotations = load_golden()
     no_entities = {pid: a for pid, a in annotations.items() if pid != "t2r1"}
     corpus, samples, _ = evaluate_corpus(pairs, no_entities, RunConfig())
-    write_report(corpus, samples, "json", tmp_path / "r2.json")
+    write_report(corpus, samples, "json", tmp_path / "r2.json", RunConfig())
     doc = json.loads((tmp_path / "r2.json").read_text())
     row = next(s for s in doc["per_sample"] if s["id"] == "t2r1")
     assert row["mwer"]["rate"] is None
@@ -388,7 +389,7 @@ def test_json_report_null_rate_for_zero_denominator(tmp_path):
 def test_csv_report_has_sample_rows_and_summary(tmp_path):
     cfg, corpus, samples, _ = _evaluated(tmp_path, n=4)
     path = tmp_path / "r.csv"
-    write_report(corpus, samples, "csv", path)
+    write_report(corpus, samples, "csv", path, cfg)
     lines = path.read_text().splitlines()
     assert len(lines) == 1 + 4 + 1
     assert lines[0].startswith("id,wer_substitutions")
@@ -407,15 +408,15 @@ def test_table_report_headers(tmp_path):
 def test_unknown_format_rejected(tmp_path):
     _, corpus, samples, _ = _evaluated(tmp_path, n=2)
     with pytest.raises(ValueError, match="unknown report format"):
-        write_report(corpus, samples, "yaml", tmp_path / "r.yaml")
+        write_report(corpus, samples, "yaml", tmp_path / "r.yaml", RunConfig())
 
 
 def test_identical_inputs_write_identical_bytes(tmp_path):
     cfg, corpus, samples, groups = _evaluated(tmp_path)
     for fmt in ("json", "csv", "table"):
         a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
-        write_report(corpus, samples, fmt, a, config=cfg.config_dict(), groups=groups)
-        write_report(corpus, samples, fmt, b, config=cfg.config_dict(), groups=groups)
+        write_report(corpus, samples, fmt, a, cfg, groups=groups)
+        write_report(corpus, samples, fmt, b, cfg, groups=groups)
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -433,20 +434,20 @@ _rate = st.one_of(st.just(math.nan), st.floats(0, 10))
 _corpus_metrics = st.builds(
     CorpusMetrics, _edit_counts, _edit_counts, _edit_counts, _recall, _count, _count, _count,
     _rate, _rate, _rate, st.dictionaries(st.sampled_from(list(EntityCategory)), _rate))
-_config = st.fixed_dictionaries({"threshold": st.floats(0.01, 1), "max_ngram": st.integers(1, 9),
-                                 "normalization": _text})
+_config = st.builds(RunConfig, threshold=st.floats(0.01, 1), max_ngram=st.integers(1, 9),
+                    normalization=st.sampled_from(NORMALIZATION_MODES))
 
 
 @given(_sample_metrics)
 def test_per_sample_row_template_matches_the_generic_rendering(sample):
-    report = reference_report_json(aggregate([]), [sample], None, None)
+    report = reference_report_json(aggregate([]), [sample], RunConfig(), None)
     assert report.endswith(f'  "per_sample": [\n{_sample_json(sample)}\n  ]\n}}\n')
 
 
 @settings(max_examples=100)
 @given(st.lists(_sample_metrics, max_size=4), st.one_of(st.none(), _corpus_metrics),
        st.one_of(st.none(), st.dictionaries(_text, _corpus_metrics, max_size=3)),
-       st.one_of(st.none(), _config))
+       _config)
 def test_render_json_matches_the_generic_rendering(samples, corpus, groups, config):
     corpus = aggregate(samples) if corpus is None else corpus
     for per_sample in (samples, [], None):
@@ -460,7 +461,7 @@ def test_render_json_matches_the_generic_rendering(samples, corpus, groups, conf
 def test_a_category_missing_from_macro_recall_renders_null():
     recall = {EntityCategory.MED: RecallCount(1, 2), EntityCategory.PHI: RecallCount(0, 1)}
     corpus = aggregate([])._replace(recall=recall, macro_recall={EntityCategory.MED: 0.5})
-    doc = json.loads(render_json(corpus, None, None, {"g": corpus}))
+    doc = json.loads(render_json(corpus, None, RunConfig(), {"g": corpus}))
     for block in (doc["corpus"], doc["groups"]["g"]):
         assert block["recall"]["MED"]["macro_rate"] == 0.5
         assert block["recall"]["PHI"] == {"recalled": 0, "total": 1, "rate": 0.0, "macro_rate": None}

@@ -4,7 +4,8 @@ Each digest holds for the --out file and for stdout alike. A change that is
 meant to keep the output identical (a faster path, a refactor) must keep
 these digests. A change that means to alter the output states so and
 updates them. The --out digests are checked under every interpreter from
-Python 3.10 on that is installed, each in a subprocess.
+Python 3.10 on that is installed, each in a subprocess, and under several
+hash seeds.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import hashlib
 import json
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,3 +135,25 @@ def test_output_bytes_are_pinned_under_every_interpreter(corpora, tmp_path, mino
     written = {key: hashlib.sha256((tmp_path / str(i)).read_bytes()).hexdigest()
                for i, key in enumerate(_DIGESTS)}
     assert written == _DIGESTS
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed(corpora, tmp_path):
+    # str hashes, and so set and dict-of-set orders, change with the seed
+    manifest, annotations = corpora["ascii"]
+    files = ["--manifest", str(manifest), "--annotations", str(annotations)]
+    runs = set()
+    for seed in ("0", "1", "2", "3", "random"):
+        report, records = tmp_path / f"{seed}.json", tmp_path / f"{seed}.jsonl"
+        argvs = [["evaluate", *files, "--per-sample", "--group-by", "model,accent", "--out", str(report)],
+                 ["align", *files, "--workers", "2", "--out", str(records)],
+                 ["selfcheck"]]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(argvs)], env=env,
+                              capture_output=True)
+        assert done.stdout.endswith(f"{[cli.EXIT_OK] * 3}\n".encode()), done.stderr
+        runs.add((hashlib.sha256(report.read_bytes()).hexdigest(),
+                  hashlib.sha256(records.read_bytes()).hexdigest(), done.stdout))
+    assert len(runs) == 1
+    [(report, records, _)] = runs
+    assert (report, records) == (_DIGESTS["ascii", "evaluate-json-per-sample-groups-w2"],
+                                 _DIGESTS["ascii", "align-w2"])

