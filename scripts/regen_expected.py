@@ -1,14 +1,7 @@
 #!/usr/bin/env python3
-"""Regenerate the golden expected.json from the naive oracle implementations.
-
-The candidate strings and exact flags in the output are the frozen golden
-expectations; every score and every metric count is recomputed here with
-medwer._oracles.reference_sample, the reference pipeline, never with the
-production matcher, so a regression in the fast paths cannot silently
-rewrite its own expectations. Tags: "golden" = fixed by the curated
-sentences, "oracle" = a reference_sample value, reproduced by this script
-and at self-check time, "trivial" = definitional.
-"""
+"""Regenerate the golden expected.json: each entry is fixtures.golden_entry
+on _oracles.reference_sample's result, never on the production matcher, so
+a regression in the fast paths cannot rewrite its own expectations."""
 
 import json
 import sys
@@ -17,32 +10,20 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from medwer._oracles import reference_sample
-from medwer.fixtures import fixture_path, load_golden
+from medwer.fixtures import fixture_path, golden_entry, load_golden
 
 
 def build_expected() -> dict:
     """The expected.json document, recomputed from the golden fixtures."""
     pairs, annotations = load_golden()
-
     samples = {}
     for pair in pairs:
         entities = annotations[pair.id].entities
         oracle = reference_sample(pair.reference, pair.hypothesis, entities)
-        samples[pair.id] = {
-            "alignment": [{
-                "entity": entity.text,
-                "category": entity.category.value,
-                "candidate": None if match is None else match.normalized,
-                "score": 0.0 if match is None else match.score,
-                "exact": exact,
-                "check": "trivial" if match is None else ("golden" if exact else "oracle"),
-            } for entity, match, exact in zip(entities, oracle.alignment, oracle.exact)],
-            **{metric: {"errors": sum(counts[:3]), "ref_len": counts[4], "check": "oracle"}
-               for metric, counts in (("wer", oracle.wer), ("mwer", oracle.mwer), ("mcer", oracle.mcer))},
-            "recall": {cat.value: {"recalled": recalled, "total": total, "check": "trivial"}
-                       for cat, (recalled, total) in sorted(oracle.recall.items(), key=lambda kv: kv[0].value)},
-        }
-
+        samples[pair.id] = golden_entry(
+            entities, [(None, 0.0, False) if match is None else (match.normalized, match.score, exact)
+                       for match, exact in zip(oracle.alignment, oracle.exact)],
+            oracle.wer, oracle.mwer, oracle.mcer, oracle.recall)
     return {"version": "v1", "threshold": 0.5, "max_ngram": 3, "samples": samples}
 
 

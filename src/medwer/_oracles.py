@@ -4,11 +4,12 @@ Nothing here shares code with the production modules. reference_sample
 aligns and scores one sample from first principles: an exhaustive-table
 longest-block search for the similarity ratio, a full-table backtrace for
 edit distance, a character loop for normalization, and an every-candidate
-scan for the alignment. It is the one reference pipeline:
-scripts/regen_expected.build_expected and run_selfcheck rest on it, as does
-the end-to-end test of evaluate_corpus. dp_distance, a two-row Levenshtein
-distance, is here for the benchmark's output check. The references that
-only tests use live with the tests.
+scan for the alignment. It is the one reference pipeline: the
+expected.json entries that scripts/regen_expected.py writes and that
+run_selfcheck compares are fixtures.golden_entry on its result, and the
+end-to-end test of evaluate_corpus rests on it too. dp_distance, a two-row
+Levenshtein distance, is here for the benchmark's output check. The
+references that only tests use live with the tests.
 """
 
 import unicodedata

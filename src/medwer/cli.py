@@ -8,6 +8,7 @@ self-check failure.
 """
 
 import argparse
+import os
 import sys
 
 from .align import DEFAULT_THRESHOLD
@@ -99,18 +100,19 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
 
-    if args.command == "selfcheck":
-        # the fixtures and oracles load only for selfcheck, not on every run
-        from .fixtures import run_selfcheck
-        return EXIT_OK if run_selfcheck() else EXIT_SELFCHECK
-
     try:
-        cfg = _run_config(args)
+        cfg = None if args.command == "selfcheck" else _run_config(args)
     except ValueError as e:
         print(f"medwer: error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
     try:
+        if args.command == "selfcheck":
+            # the fixtures and oracles load only for selfcheck, not on every run
+            from .fixtures import run_selfcheck
+            passed, lines = run_selfcheck()
+            write_output("\n".join(lines) + "\n", None)
+            return EXIT_OK if passed else EXIT_SELFCHECK
         pairs = load_manifest(args.manifest)
         annotations = load_annotations(args.annotations, pairs, strict=args.strict,
                                        normalization=cfg.normalization)
@@ -120,6 +122,11 @@ def main(argv=None) -> int:
         else:
             write_output(align_corpus(pairs, annotations, cfg), args.out)
     except (IngestionError, OSError) as e:
+        if isinstance(e, BrokenPipeError):
+            # the reader of stdout has gone: the flush at exit goes to devnull, not to a second error
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"medwer: error: {e}", file=sys.stderr)
         return EXIT_INGESTION
     return EXIT_OK

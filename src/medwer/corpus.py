@@ -372,13 +372,15 @@ def render_table(corpus: CorpusMetrics, groups: dict[str, CorpusMetrics] | None)
 
 def write_output(text: str, path) -> None:
     """Write a command's output as UTF-8 to the file at path, or to stdout when
-    path is None; the bytes are the same either way. A stdout with no binary
+    path is None; the bytes are the same either way. Stdout is flushed, so a
+    reader that has gone raises BrokenPipeError here. A stdout with no binary
     buffer, such as a notebook's, gets the text itself."""
     if path is not None:
         Path(path).write_bytes(text.encode("utf-8"))
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
         sys.stdout.buffer.write(text.encode("utf-8"))
+        sys.stdout.buffer.flush()
     else:
         sys.stdout.write(text)
 

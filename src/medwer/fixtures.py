@@ -1,12 +1,12 @@
 """Golden fixtures, synthetic corpus generation, and the self-check battery.
 
 The golden corpus lives as ordinary manifest/annotation files under a
-versioned data directory, with an expected.json next to them. Every expected
-value carries a check tag: "golden" values are fixed by the curated
-sentences, "oracle" values come from _oracles.reference_sample and are
-recomputed by it on every self-check, "trivial" values follow from the
-definitions. The self-check holds the pipeline to two things per golden
-sample: the frozen expected.json and reference_sample.
+versioned data directory, with an expected.json next to them. golden_entry
+builds a sample's entry there: scripts/regen_expected.py builds it from
+_oracles.reference_sample, and the self-check builds it from the pipeline
+and from reference_sample and holds both to the frozen entry. Check tags:
+"golden" values are fixed by the curated sentences, "oracle" values are
+reference_sample's, "trivial" values follow from the definitions.
 """
 
 import json
@@ -166,45 +166,68 @@ def synthetic_corpus(n_samples: int, seed: int = 0, tokens_per_sample: int = 30,
     return pairs, annotations
 
 
-# --- self-check --------------------------------------------------------------
+# --- golden entries and the self-check ----------------------------------------
 
 _TOL = 1e-12
+_METRICS = ("wer", "mwer", "mcer")
 
 
-def _check_golden(pairs: list[TranscriptPair], expected: dict) -> None:
-    """Raise ValueError when the manifest and expected.json name different
-    samples, or when the identity or empty-hypothesis group has no pair."""
+def golden_entry(entities, alignment, wer, mwer, mcer, recall) -> dict:
+    """A golden sample's expected.json entry, from each entity's (candidate,
+    score, exact), candidate None for no match; the (S, I, D, hits, ref_len)
+    of wer, mwer and mcer; and recall's category -> (recalled, total)."""
+    return {"alignment": [{"entity": entity.text, "category": entity.category.value, "candidate": candidate,
+                           "score": score, "exact": exact,
+                           "check": "trivial" if candidate is None else ("golden" if exact else "oracle")}
+                          for entity, (candidate, score, exact) in zip(entities, alignment)],
+            **{metric: {"errors": sum(counts[:3]), "ref_len": counts[4], "check": "oracle"}
+               for metric, counts in zip(_METRICS, (wer, mwer, mcer))},
+            "recall": {cat.value: {"recalled": recalled, "total": total, "check": "trivial"}
+                       for cat, (recalled, total) in sorted(recall.items(), key=lambda kv: kv[0].value)}}
+
+
+def _parts(entry: dict) -> tuple[list, list, list]:
+    """An expected.json entry's (field, value) pairs for each per-sample check, in check order."""
+    entities = [(f"entity {e['entity']!r}", e) for e in entry["alignment"]]
+    return ([("entities", [e["entity"] for e in entry["alignment"]]),
+             *((name, (e["candidate"], e["exact"])) for name, e in entities)],
+            [(name, e["score"]) for name, e in entities],
+            [*((metric, (entry[metric]["errors"], entry[metric]["ref_len"])) for metric in _METRICS),
+             ("recall", {label: (e["recalled"], e["total"]) for label, e in entry["recall"].items()})])
+
+
+def _check_golden(pairs: list[TranscriptPair], expected: dict) -> tuple[str, str]:
+    """The ids of the first identity pair and the first empty-hypothesis pair;
+    ValueError when either is missing or expected.json names other samples."""
     unmatched = sorted({p.id for p in pairs} ^ set(expected["samples"]))
     if unmatched:
         raise ValueError(f"sample id(s) in only one of the manifest and expected.json: {', '.join(unmatched)}")
-    if not any(p.reference == p.hypothesis for p in pairs):
+    identity = next((p.id for p in pairs if p.reference == p.hypothesis), None)
+    if identity is None:
         raise ValueError("no golden pair has a hypothesis equal to its reference")
-    if not any(p.hypothesis == "" for p in pairs):
+    empty = next((p.id for p in pairs if p.hypothesis == ""), None)
+    if empty is None:
         raise ValueError("no golden pair has an empty hypothesis")
+    return identity, empty
 
 
-def run_selfcheck() -> bool:
+def run_selfcheck() -> tuple[bool, list[str]]:
     """Re-run the golden fixtures and oracle spot-checks; one line per group.
 
-    Each golden sample is scored by runner._eval_task, the per-sample step
-    that evaluate runs, and meets the frozen file in golden-alignment
+    golden_entry builds each golden sample's entry from runner._eval_task, the
+    per-sample step of evaluate, and from reference_sample. golden-alignment
     (candidates, exact flags), oracle-scores and oracle-metrics ((errors,
-    ref_len), recall), and reference_sample in oracle-scores (its best
-    candidate's score, 0.0 for none) and oracle-metrics (S/I/D/hits,
-    recall). The identity and empty-hypothesis groups check two of those
+    ref_len), recall; and the pipeline's S/I/D/hits against the oracle's)
+    compare their parts of both with the frozen entry; a FAIL names the first
+    field that differs. The identity and empty-hypothesis groups check two
     samples against the definitions. fixture-load fails when the three files
-    name different samples or a group has no pair. Returns True when
-    everything passes.
+    name different samples or a group has no pair. Returns whether every
+    check passed, and the lines.
     """
-    failures = 0
+    lines = []
 
     def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if ok:
-            print(f"PASS {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name}: {detail}")
+        lines.append(f"PASS {name}" if ok else f"FAIL {name}: {detail}")
 
     threshold = _align.DEFAULT_THRESHOLD
     max_n = _textnorm.DEFAULT_MAX_NGRAM
@@ -216,15 +239,15 @@ def run_selfcheck() -> bool:
     report("fixture-files", not missing,
            f"missing fixture file(s) under {fixture_path('')}: {', '.join(missing)}")
     if missing:
-        return False
+        return False, lines
 
     try:
         pairs, annotations = load_golden()
         expected = load_expected()
-        _check_golden(pairs, expected)
+        identity, empty = _check_golden(pairs, expected)
     except Exception as e:  # surface any ingestion or coverage problem as a diagnostic
         report("fixture-load", False, str(e))
-        return False
+        return False, lines
     report("fixture-load", True)
 
     report("fuzzy-anchors",
@@ -233,52 +256,35 @@ def run_selfcheck() -> bool:
            "similarity anchors drifted")
 
     cfg = RunConfig(threshold=threshold, max_ngram=max_n)
-    scored = {}  # id -> (aligned entities, metric -> counts)
+    scored = {}  # id -> (aligned entities, (wer, mwer, mcer) counts)
     for pair in pairs:
-        exp = expected["samples"][pair.id]
+        entities = annotations[pair.id].entities
         aligned, sample = _eval_task(pair, annotations, cfg)
-        oracle = reference_sample(pair.reference, pair.hypothesis, annotations[pair.id].entities,
-                                  threshold, max_n)
-        got = [(ae.candidate.normalized if ae.candidate else None, ae.exact) for ae in aligned]
-        want = [(e["candidate"], e["exact"]) for e in exp["alignment"]]
-        report(f"golden-alignment[{pair.id}]", got == want, f"got={got} want={want}")
-
-        ok, detail = True, ""
-        for ae, e, match in zip(aligned, exp["alignment"], oracle.alignment):
-            best = 0.0 if match is None else match.score
-            if abs(ae.score - e["score"]) > _TOL or abs(best - e["score"]) > _TOL:
-                ok, detail = False, (f"entity {e['entity']!r}: frozen={e['score']} "
-                                     f"pipeline={ae.score} oracle={best}")
-        report(f"oracle-scores[{pair.id}]", ok, detail)
-
-        observed = {"wer": sample.wer, "mwer": sample.mwer, "mcer": sample.mcer}
+        oracle = reference_sample(pair.reference, pair.hypothesis, entities, threshold, max_n)
+        observed, oracle_counts = (sample.wer, sample.mwer, sample.mcer), (oracle.wer, oracle.mwer, oracle.mcer)
         scored[pair.id] = aligned, observed
-        ok, detail = True, ""
-        for metric, counts in observed.items():
-            frozen = exp[metric]
-            if (counts.errors, counts.ref_len) != (frozen["errors"], frozen["ref_len"]):
-                ok, detail = False, (f"{metric}: pipeline {counts.errors}/{counts.ref_len}, "
-                                     f"frozen {frozen['errors']}/{frozen['ref_len']}")
-                break
-            split, oracle_split = counts[:4], getattr(oracle, metric)[:4]
-            if split != oracle_split:
-                ok, detail = False, f"{metric}: pipeline S/I/D/hits {split} != oracle {oracle_split}"
-                break
-        recall = {cat.value: tuple(count) for cat, count in sample.recall.items()}
-        frozen = {label: (e["recalled"], e["total"]) for label, e in exp["recall"].items()}
-        for source, want in (("frozen", frozen), ("oracle", {c.value: n for c, n in oracle.recall.items()})):
-            if ok and recall != want:
-                ok, detail = False, f"recall: pipeline {recall}, {source} {want}"
-        report(f"oracle-metrics[{pair.id}]", ok, detail)
+        entries = (
+            golden_entry(entities, [(None if ae.candidate is None else ae.candidate.normalized, ae.score, ae.exact)
+                                    for ae in aligned], *observed, sample.recall),
+            golden_entry(entities, [(None, 0.0, False) if match is None else (match.normalized, match.score, exact)
+                                    for match, exact in zip(oracle.alignment, oracle.exact)],
+                         *oracle_counts, oracle.recall),
+            expected["samples"][pair.id])
+        splits = [f"{metric}: pipeline S/I/D/hits {got[:4]} != oracle {want[:4]}"
+                  for metric, got, want in zip(_METRICS, observed, oracle_counts) if got[:4] != want[:4]]
+        for check, *sides in zip(("golden-alignment", "oracle-scores", "oracle-metrics"), *map(_parts, entries)):
+            details = [f"{name}: pipeline {got!r}, oracle {want!r}, frozen {frozen!r}"
+                       for (name, got), (_, want), (_, frozen) in zip(*sides) if not got == want == frozen]
+            details += splits if check == "oracle-metrics" else []
+            report(f"{check}[{pair.id}]", not details, details[0] if details else "")
 
-    aligned, observed = scored[next(p.id for p in pairs if p.reference == p.hypothesis)]
-    report("identity-metrics",
-           all(counts.errors == 0 for counts in observed.values()) and all(ae.exact for ae in aligned),
+    aligned, observed = scored[identity]
+    report("identity-metrics", all(counts.errors == 0 for counts in observed) and all(ae.exact for ae in aligned),
            "identical hypothesis must score zero everywhere")
 
-    aligned, observed = scored[next(p.id for p in pairs if p.hypothesis == "")]
+    aligned, observed = scored[empty]
     report("empty-hypothesis-metrics",
-           all(counts.rate == 1.0 for counts in observed.values()) and not any(ae.exact for ae in aligned),
+           all(counts.rate == 1.0 for counts in observed) and not any(ae.exact for ae in aligned),
            "empty hypothesis must score 1.0 everywhere")
 
-    return failures == 0
+    return all(line.startswith("PASS") for line in lines), lines

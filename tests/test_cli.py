@@ -436,7 +436,50 @@ def test_selfcheck_flags_a_wrong_recall(monkeypatch, capsys):
     monkeypatch.setattr(runner, "entity_recall", miscounted)
     assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
     out = capsys.readouterr().out
-    assert "FAIL oracle-metrics[t2r1]: recall: pipeline {'MED': (0, 5)}, frozen {'MED': (0, 3)}" in out
+    assert ("FAIL oracle-metrics[t2r1]: recall: pipeline {'MED': (0, 5)}, oracle {'MED': (0, 3)}, "
+            "frozen {'MED': (0, 3)}") in out
+
+
+def test_selfcheck_flags_an_oracle_that_drifts_from_the_frozen_candidates(monkeypatch, capsys):
+    exact = fixtures.reference_sample
+
+    def drifted(*args):
+        oracle = exact(*args)
+        first, *rest = oracle.alignment
+        return oracle._replace(alignment=[first and first._replace(normalized="quinidine"), *rest])
+
+    monkeypatch.setattr(fixtures, "reference_sample", drifted)
+    assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
+    out = capsys.readouterr().out
+    assert ("FAIL golden-alignment[t2r1]: entity 'quinidine': pipeline ('quinidan', False), "
+            "oracle ('quinidine', False), frozen ('quinidan', False)") in out
+
+
+def test_selfcheck_flags_a_pipeline_score_off_the_oracle(monkeypatch, capsys):
+    exact = runner.med_text_align
+
+    def scaled(*args):
+        return [ae if ae.exact else ae._replace(score=ae.score * 0.999) for ae in exact(*args)]
+
+    monkeypatch.setattr(runner, "med_text_align", scaled)
+    assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
+    out = capsys.readouterr().out
+    assert (f"FAIL oracle-scores[t2r1]: entity 'quinidine': pipeline {14 / 17 * 0.999!r}, "
+            f"oracle {14 / 17!r}, frozen {14 / 17!r}") in out
+    assert "FAIL golden-alignment" not in out and "FAIL oracle-metrics" not in out
+
+
+def test_selfcheck_flags_an_entity_missing_from_expected(monkeypatch, tmp_path, capsys):
+    for name in ("manifest.jsonl", "annotations.jsonl"):
+        (tmp_path / name).write_bytes(fixtures.fixture_path(name).read_bytes())
+    expected = fixtures.load_expected()
+    del expected["samples"]["t2r1"]["alignment"][0]
+    (tmp_path / "expected.json").write_text(json.dumps(expected), encoding="utf-8")
+    monkeypatch.setattr(fixtures, "fixture_path", lambda name: tmp_path / name)
+    assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
+    entities = ["quinidine", "disopyramide", "digoxin"]
+    assert (f"FAIL golden-alignment[t2r1]: entities: pipeline {entities}, oracle {entities}, "
+            f"frozen {entities[1:]}") in capsys.readouterr().out
 
 
 def test_selfcheck_reports_missing_fixture_file(monkeypatch, capsys):
@@ -486,3 +529,25 @@ def test_unwritable_output_path_exits_two(golden_files, tmp_path, capsys, comman
     code = cli.main([command, "--manifest", str(manifest), "--annotations", str(annotations),
                      "--out", str(tmp_path / "no_such_dir" / "r.json")])
     assert code == cli.EXIT_INGESTION
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["evaluate", "align", "selfcheck"])
+def test_a_closed_stdout_exits_two_with_one_error_line(golden_files, command, unbuffered):
+    # a subprocess whose stdout is a pipe with no reader left: Python ignores
+    # SIGPIPE, so a write or flush there raises BrokenPipeError
+    manifest, annotations = golden_files
+    files = [] if command == "selfcheck" else ["--manifest", str(manifest), "--annotations", str(annotations)]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(medwer.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "medwer.cli", command, *files], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert done.returncode == cli.EXIT_INGESTION, done.stderr
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("medwer: error:"), done.stderr
