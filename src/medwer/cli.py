@@ -111,7 +111,7 @@ def main(argv=None) -> int:
             # the fixtures and oracles load only for selfcheck, not on every run
             from .fixtures import run_selfcheck
             passed, lines = run_selfcheck()
-            write_output("\n".join(lines) + "\n", None)
+            write_output([line + "\n" for line in lines], None)
             return EXIT_OK if passed else EXIT_SELFCHECK
         pairs = load_manifest(args.manifest)
         annotations = load_annotations(args.annotations, pairs, strict=args.strict,

@@ -12,23 +12,25 @@ written from it. So is a line nested past the parser's depth limit or with
 an integer past the interpreter's digit limit.
 
 Every output byte is rendered here: json, csv or table reports, `align`
-records and group labels; nothing reads them back. Output is byte-identical
-for identical inputs, wherever it goes: it is written as UTF-8 to a file or
-to stdout alike, field order is fixed and every rate has four decimals
-(half-even, via standard float formatting). Every json report block (config,
-corpus, groups, per_sample rows) and every `align` record comes from a fixed
-template, which the tests check against a generic rendering of its dict.
+records and group labels; nothing reads them back. A json or csv report is
+rendered in pieces, one per per-sample row, and write_output encodes and
+writes each piece as it arrives, so no whole copy of the output is held.
+Output is byte-identical for identical inputs, wherever it goes: it is
+written as UTF-8 to a file or to stdout alike, field order is fixed and
+every rate has four decimals (half-even, via standard float formatting).
+Every json report block (config, corpus, groups, per_sample rows) and every
+`align` record comes from a fixed template, which the tests check against a
+generic rendering of its dict.
 """
 
 import csv
-import io
 import json
 import math
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import attrgetter
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .align import CATEGORIES, AlignedEntity, EntityAnnotation, EntityCategory
@@ -307,7 +309,9 @@ def _sample_json(sample: SampleMetrics) -> str:
 
 
 def render_json(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None,
-                cfg: "RunConfig", groups: dict[str, CorpusMetrics] | None) -> str:
+                cfg: "RunConfig", groups: dict[str, CorpusMetrics] | None) -> Iterator[str]:
+    """The report in pieces: the head (config, corpus and groups), then each
+    per_sample row with the separator before it, then the tail."""
     blocks = [f'  "config": {{\n    "threshold": {cfg.threshold:.4f},\n'
               f'    "max_ngram": {cfg.max_ngram},\n'
               f'    "normalization": {json.dumps(cfg.normalization)}\n  }}',
@@ -315,13 +319,27 @@ def render_json(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None,
     if groups:
         rows = ",\n".join(f'    {json.dumps(key)}: {_metrics_json(groups[key], "    ")}' for key in sorted(groups))
         blocks.append(f'  "groups": {{\n{rows}\n  }}')
-    if per_sample is not None:
-        rows = ",\n".join(map(_sample_json, per_sample))
-        blocks.append(f'  "per_sample": [\n{rows}\n  ]' if per_sample else '  "per_sample": []')
-    return "{\n" + ",\n".join(blocks) + "\n}\n"
+    head = "{\n" + ",\n".join(blocks)
+    if not per_sample:
+        yield head + ("" if per_sample is None else ',\n  "per_sample": []') + "\n}\n"
+        return
+    yield head + ',\n  "per_sample": ['
+    separator = "\n"
+    for sample in per_sample:
+        yield separator + _sample_json(sample)
+        separator = ",\n"
+    yield "\n  ]\n}\n"
 
 
-def render_csv(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None) -> str:
+class _Echo:
+    """A file for csv.writer whose write returns the line, so writerow does too."""
+
+    def write(self, line: str) -> str:
+        return line
+
+
+def render_csv(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None) -> Iterator[str]:
+    """The header line, then one line per sample, then the corpus line."""
     header = ["id"]
     for metric in ("wer", "mwer", "mcer"):
         header += [f"{metric}_{f}" for f in ("substitutions", "insertions", "deletions",
@@ -342,13 +360,11 @@ def render_csv(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None) ->
                 cells += [rc.recalled, rc.total, _rate(rc.rate, "")]
         return cells
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    yield writer.writerow(header)
     for sample in per_sample or []:
-        writer.writerow(row(sample.sample_id, sample))
-    writer.writerow(row("corpus", corpus))
-    return buf.getvalue()
+        yield writer.writerow(row(sample.sample_id, sample))
+    yield writer.writerow(row("corpus", corpus))
 
 
 def render_table(corpus: CorpusMetrics, groups: dict[str, CorpusMetrics] | None) -> str:
@@ -370,32 +386,36 @@ def render_table(corpus: CorpusMetrics, groups: dict[str, CorpusMetrics] | None)
     return "\n".join(lines) + "\n"
 
 
-def write_output(text: str, path) -> None:
-    """Write a command's output as UTF-8 to the file at path, or to stdout when
-    path is None; the bytes are the same either way. Stdout is flushed, so a
-    reader that has gone raises BrokenPipeError here. A stdout with no binary
-    buffer, such as a notebook's, gets the text itself."""
+def write_output(chunks: Iterable[str], path) -> None:
+    """Write a command's output, as the pieces of text arrive, as UTF-8 to the
+    file at path, or to stdout when path is None; the bytes are the same
+    either way. Stdout is flushed, so a reader that has gone raises
+    BrokenPipeError here. A stdout with no binary buffer, such as a
+    notebook's, gets the text itself. A caller with one string passes a
+    one-element list."""
     if path is not None:
-        Path(path).write_bytes(text.encode("utf-8"))
+        with open(path, "wb") as handle:
+            handle.writelines(chunk.encode("utf-8") for chunk in chunks)
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
+        sys.stdout.buffer.writelines(chunk.encode("utf-8") for chunk in chunks)
         sys.stdout.buffer.flush()
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def write_report(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None,
                  fmt: str, path, cfg: "RunConfig",
                  groups: dict[str, CorpusMetrics] | None = None) -> None:
-    """Render a report and write it through write_output: to the file at path,
-    or to stdout when path is None."""
+    """Render a report and stream it through write_output: to the file at
+    path, or to stdout when path is None. A table is one piece; it has a row
+    per group, not per sample."""
     if fmt == "json":
-        text = render_json(corpus, per_sample, cfg, groups)
+        chunks = render_json(corpus, per_sample, cfg, groups)
     elif fmt == "csv":
-        text = render_csv(corpus, per_sample)
+        chunks = render_csv(corpus, per_sample)
     elif fmt == "table":
-        text = render_table(corpus, groups)
+        chunks = [render_table(corpus, groups)]
     else:
         raise ValueError(f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}")
-    write_output(text, path)
+    write_output(chunks, path)

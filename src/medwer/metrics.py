@@ -92,24 +92,40 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> EditCounts:
     +1 because D[0][j] == j. Any cell can be read back exactly as
     D[i][j] = j + popcount(VP_j & (2^i - 1)) - popcount(VN_j & (2^i - 1)),
     and each vertical step D[i][j] - D[i-1][j] is one bit of VP_j and VN_j.
-    The backtrace carries the current cell; each step reads its diagonal
-    neighbour from column j-1 with one popcount pair, and a deletion or an
-    insertion leaves cur - 1, so it makes the same choices, and yields the
-    same split, as a walk over the full table.
+    The backtrace carries the current cell. A match is tested first: it
+    makes D[i][j] == D[i-1][j-1], so the diagonal step needs no popcount.
+    Otherwise each step reads its diagonal neighbour from column j-1 with one
+    popcount pair, and a deletion or an insertion leaves cur - 1, so it makes
+    the same choices, and yields the same split, as a walk over the full
+    table.
+
+    Shared ends are consumed first. A trailing match is always on the
+    preferred backtrace. Stripping a shared prefix of length p preserves
+    every cell with i, j >= p, so the walks over both tables make the same
+    choices until they reach row p or column p. From there the counts are
+    forced in both problems: at cell (p, j), ref[:p] is a prefix of hyp[:j]
+    at distance j - p, and since S + I + D == j - p == I - D, the rest is p
+    hits and j - p insertions; at (i, p) it is p hits and i - p deletions.
     Elements must be hashable. Memory is the m+1 column pairs, about
     2*m*n/8 bytes, instead of (n+1)*(m+1) ints.
     """
     ref_len = len(ref)
     n, m = len(ref), len(hyp)
-    # A trailing match is always on the preferred backtrace, so equal
-    # suffixes can be consumed up front.
     hits = 0
     while n > 0 and m > 0 and ref[n - 1] == hyp[m - 1]:
         n -= 1
         m -= 1
         hits += 1
-    if n == 0 and m == 0:
-        return EditCounts(hits=hits, ref_len=ref_len)
+    start = 0
+    while start < n and start < m and ref[start] == hyp[start]:
+        start += 1
+    if n == start or m == start:
+        return EditCounts(0, m - start, n - start, hits + start, ref_len)
+    if start:
+        ref, hyp = ref[start:n], hyp[start:m]
+        n -= start
+        m -= start
+        hits += start
 
     mask = (1 << n) - 1
     peq: dict = {}
@@ -138,11 +154,14 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> EditCounts:
     i, j = n, m
     cur = m + vps[m].bit_count() - vns[m].bit_count()
     while i > 0 and j > 0:
+        if ref[i - 1] == hyp[j - 1]:
+            hits += 1
+            i -= 1
+            j -= 1
+            continue
         low = (1 << (i - 1)) - 1
         diag = j - 1 + (vps[j - 1] & low).bit_count() - (vns[j - 1] & low).bit_count()
-        if diag == cur and ref[i - 1] == hyp[j - 1]:
-            hits += 1
-        elif diag + 1 == cur:
+        if diag + 1 == cur:
             subs += 1
         else:
             cur -= 1

@@ -1,9 +1,10 @@
 """End-to-end evaluation: `evaluate` aligns and scores each sample, then
 aggregates; `align` only aligns.
 
-Per-sample work is pure, so each command is a map then a reduce: it hands
-_run_shards one function of one sample, gets back that function's result for
-every sample in order, and sums or joins them. _run_shards splits the
+Per-sample work is pure, so each command is a map: it hands _run_shards one
+function of one sample and gets back that function's result for every sample
+in order. `evaluate` then sums the results; `align` returns them, one string
+of records per sample, for the writer to stream. _run_shards splits the
 samples into contiguous ranges, one per worker: this process maps the first
 range, and one POSIX-forked child per other range maps the rest where the
 platform has fork. Children inherit the loaded corpus, so nothing is sent to
@@ -162,12 +163,12 @@ def evaluate_corpus(pairs: list[TranscriptPair], annotations: dict[str, Annotati
 
 
 def align_corpus(pairs: list[TranscriptPair], annotations: dict[str, AnnotationSet],
-                 cfg: RunConfig) -> str:
-    """Per-entity alignment records as JSON lines, ordered by (sample id, entity begin)."""
+                 cfg: RunConfig) -> list[str]:
+    """Per-entity alignment records as JSON lines, ordered by (sample id, entity
+    begin): one string per sample, holding that sample's records."""
     def records(pair: TranscriptPair) -> str:
         return "".join([align_record(pair.id, ae) for ae in med_text_align(
             annotations[pair.id].entities if pair.id in annotations else (), pair.hypothesis,
             cfg.threshold, cfg.max_ngram, cfg.normalization)])
 
-    return "".join(_run_shards(records, sorted(pairs, key=lambda p: p.id), cfg.workers))
-
+    return _run_shards(records, sorted(pairs, key=lambda p: p.id), cfg.workers)

@@ -511,7 +511,8 @@ def _drift_hypothesis(test):
 ], ids=["expected-lacks-a-sample", "manifest-lacks-a-sample", "annotations-lack-a-sample",
         "no-identity-pair", "no-empty-hypothesis-pair"])
 def test_selfcheck_reports_fixture_drift(monkeypatch, tmp_path, capsys, change, detail):
-    manifest, annotations = ([json.loads(line) for line in fixtures.fixture_path(name).open(encoding="utf-8")]
+    manifest, annotations = ([json.loads(line) for line in
+                              fixtures.fixture_path(name).read_text(encoding="utf-8").splitlines()]
                              for name in ("manifest.jsonl", "annotations.jsonl"))
     expected = fixtures.load_expected()
     change(manifest, annotations, expected)
@@ -531,6 +532,15 @@ def test_unwritable_output_path_exits_two(golden_files, tmp_path, capsys, comman
     assert code == cli.EXIT_INGESTION
 
 
+def _cli_env(unbuffered: str | None) -> dict:
+    """The environment of a child CLI run, with PYTHONUNBUFFERED set to unbuffered or removed."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(medwer.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return env
+
+
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", ["evaluate", "align", "selfcheck"])
 def test_a_closed_stdout_exits_two_with_one_error_line(golden_files, command, unbuffered):
@@ -538,16 +548,30 @@ def test_a_closed_stdout_exits_two_with_one_error_line(golden_files, command, un
     # SIGPIPE, so a write or flush there raises BrokenPipeError
     manifest, annotations = golden_files
     files = [] if command == "selfcheck" else ["--manifest", str(manifest), "--annotations", str(annotations)]
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(medwer.__file__).parents[1])
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = unbuffered
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         done = subprocess.run([sys.executable, "-m", "medwer.cli", command, *files], stdout=write_end,
-                              stderr=subprocess.PIPE, env=env, text=True)
+                              stderr=subprocess.PIPE, env=_cli_env(unbuffered), text=True)
     finally:
         os.close(write_end)
     assert done.returncode == cli.EXIT_INGESTION, done.stderr
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("medwer: error:"), done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_a_reader_that_leaves_part_way_through_a_report_gets_one_error_line(tmp_path, unbuffered):
+    # the report is far larger than a 64 KiB pipe buffer, so the writer is
+    # still in its loop over the report's pieces when the reader closes
+    manifest, annotations = dump_corpus(tmp_path, *fixtures.synthetic_corpus(500, seed=31))
+    argv = [sys.executable, "-m", "medwer.cli", "evaluate", "--per-sample",
+            "--manifest", str(manifest), "--annotations", str(annotations)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+                          env=_cli_env(unbuffered)) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+    assert head.startswith(b'{\n  "config"')
+    assert proc.returncode == cli.EXIT_INGESTION, stderr
+    errors = [line for line in stderr.splitlines() if not line.startswith("INFO ")]
+    assert len(errors) == 1 and errors[0].startswith("medwer: error:"), stderr

@@ -2,6 +2,7 @@ import ast
 import codecs
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,10 @@ from helpers import annotation_record, pair_record, write_jsonl
 import medwer
 from medwer.align import EntityCategory
 from medwer.corpus import (AnnotationError, ManifestError, TranscriptPair, _sample_json, load_annotations,
-                           load_manifest, render_json, render_table, write_report)
+                           load_manifest, render_json, render_table, write_output, write_report)
 from medwer.fixtures import fixture_path, load_golden, synthetic_corpus
 from medwer.metrics import CorpusMetrics, EditCounts, RecallCount, SampleMetrics, aggregate
-from medwer.runner import RunConfig, evaluate_corpus
+from medwer.runner import RunConfig, align_corpus, evaluate_corpus
 from medwer.textnorm import NORMALIZATION_MODES
 from oracles import reference_report_json
 
@@ -420,6 +421,33 @@ def test_identical_inputs_write_identical_bytes(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+def _traced_peak(write, *args) -> int:
+    """The tracemalloc peak while write(*args) runs, above what was traced before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("output", ["per-sample-json", "align"])
+def test_writing_the_output_holds_no_copy_of_it(tmp_path, output):
+    # the paper's shape: 2000 samples of 30 tokens with 3 entities each
+    pairs, annotations = synthetic_corpus(2000, seed=31)
+    cfg = RunConfig()
+    path = tmp_path / "out"
+    if output == "align":
+        peak = _traced_peak(write_output, align_corpus(pairs, annotations, cfg), path)
+    else:
+        corpus, samples, _ = evaluate_corpus(pairs, annotations, cfg)
+        peak = _traced_peak(write_report, corpus, samples, "json", path, cfg)
+    size = path.stat().st_size
+    assert size > 10 ** 6
+    assert peak < size / 100, f"{peak} bytes traced while writing {size}"
+
+
 # Small counts give NaN (zero denominator) and whole-number rates often.
 _count = st.one_of(st.integers(0, 3), st.integers(0, 10**9))
 # quotes, backslashes, control, line-separator and astral characters
@@ -451,7 +479,7 @@ def test_per_sample_row_template_matches_the_generic_rendering(sample):
 def test_render_json_matches_the_generic_rendering(samples, corpus, groups, config):
     corpus = aggregate(samples) if corpus is None else corpus
     for per_sample in (samples, [], None):
-        text = render_json(corpus, per_sample, config, groups)
+        text = "".join(render_json(corpus, per_sample, config, groups))
         assert text == reference_report_json(corpus, per_sample, config, groups)
         doc = json.loads(text)
         assert [row["id"] for row in doc.get("per_sample", [])] == [s.sample_id for s in per_sample or []]
@@ -461,7 +489,7 @@ def test_render_json_matches_the_generic_rendering(samples, corpus, groups, conf
 def test_a_category_missing_from_macro_recall_renders_null():
     recall = {EntityCategory.MED: RecallCount(1, 2), EntityCategory.PHI: RecallCount(0, 1)}
     corpus = aggregate([])._replace(recall=recall, macro_recall={EntityCategory.MED: 0.5})
-    doc = json.loads(render_json(corpus, None, RunConfig(), {"g": corpus}))
+    doc = json.loads("".join(render_json(corpus, None, RunConfig(), {"g": corpus})))
     for block in (doc["corpus"], doc["groups"]["g"]):
         assert block["recall"]["MED"]["macro_rate"] == 0.5
         assert block["recall"]["PHI"] == {"recalled": 0, "total": 1, "rate": 0.0, "macro_rate": None}

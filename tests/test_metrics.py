@@ -108,6 +108,16 @@ def test_edit_distance_matches_full_table_reference_across_word_boundaries(pair)
     _assert_counts_match_reference(*pair)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(("ab", "abc", "abcd")).flatmap(
+    lambda alphabet: st.tuples(*(st.text(alphabet, max_size=size) for size in (24, 8, 8)))), st.booleans())
+def test_edit_distance_matches_full_table_reference_after_a_common_prefix(parts, words):
+    # a long shared prefix, often extended by the bodies or covering one side
+    prefix, ref, hyp = parts
+    ref, hyp = prefix + ref, prefix + hyp
+    _assert_counts_match_reference(*((list(ref), list(hyp)) if words else (ref, hyp)))
+
+
 @pytest.mark.parametrize("ref,hyp", [("", ""), ("", "abc"), ("abc", ""), ("a" * 64, "a" * 65),
                                      ("ab" * 64, "ba" * 64), ("a" * 129, "b" * 128),
                                      # runs of 100+ deletions or insertions inside the

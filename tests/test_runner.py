@@ -115,7 +115,8 @@ def test_group_values_that_are_not_printable_keep_one_table_line(control):
     corpus, _, groups = evaluate_corpus(pairs, {}, RunConfig(group_by=("model",)))
     assert set(groups) == {f"model={json.dumps(values[0])}", "model=x y", "model=x\\ny",
                            'model="\\"x\\\\ny\\""', 'model="ñ,x"'}
-    assert len(json.loads(render_json(corpus, None, RunConfig(), groups))["groups"]) == len(values)
+    doc = json.loads("".join(render_json(corpus, None, RunConfig(), groups)))
+    assert len(doc["groups"]) == len(values)
     assert len(render_table(corpus, groups).splitlines()) == 2 + len(values)
 
 
@@ -206,7 +207,7 @@ def test_evaluate_and_align_corpus_equal_the_reference_pipeline(request, monkeyp
     pairs, annotations, knobs = corpus
     cfg = RunConfig(workers=workers, **knobs)
     totals, samples, _ = evaluate_corpus(pairs, annotations, cfg)
-    records = [json.loads(line) for line in align_corpus(pairs, annotations, cfg).splitlines()]
+    records = [json.loads(line) for chunk in align_corpus(pairs, annotations, cfg) for line in chunk.splitlines()]
     oracles = _reference_samples(pairs, annotations, **knobs)
     for pair, sample, oracle in zip(pairs, samples, oracles, strict=True):
         assert sample.sample_id == pair.id
@@ -250,7 +251,11 @@ def test_evaluate_sample_shape():
 
 def test_align_corpus_ordering_and_content():
     pairs, annotations = load_golden()
-    records = [json.loads(line) for line in align_corpus(pairs, annotations, RunConfig()).splitlines()]
+    chunks = align_corpus(pairs, annotations, RunConfig())
+    # one string per sample, holding that sample's records
+    assert [{json.loads(line)["id"] for line in chunk.splitlines()} for chunk in chunks] == [
+        {p.id} for p in sorted(pairs, key=lambda p: p.id)]
+    records = [json.loads(line) for chunk in chunks for line in chunk.splitlines()]
     keys = [(r["id"], r["entity"]["begin"]) for r in records]
     assert keys == sorted(keys)
     t2r1 = [r for r in records if r["id"] == "t2r1"]
