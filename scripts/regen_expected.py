@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the golden expected.json: each entry is fixtures.golden_entry
-on _oracles.reference_sample's result, never on the production matcher, so
+"""Regenerate the golden expected.json: each entry is fixtures.oracle_entry
+of _oracles.reference_sample's result, never of the production matcher, so
 a regression in the fast paths cannot rewrite its own expectations."""
 
 import json
@@ -10,7 +10,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from medwer._oracles import reference_sample
-from medwer.fixtures import fixture_path, golden_entry, load_golden
+from medwer.fixtures import fixture_path, load_golden, oracle_entry
 
 
 def build_expected() -> dict:
@@ -19,11 +19,7 @@ def build_expected() -> dict:
     samples = {}
     for pair in pairs:
         entities = annotations[pair.id].entities
-        oracle = reference_sample(pair.reference, pair.hypothesis, entities)
-        samples[pair.id] = golden_entry(
-            entities, [(None, 0.0, False) if match is None else (match.normalized, match.score, exact)
-                       for match, exact in zip(oracle.alignment, oracle.exact)],
-            oracle.wer, oracle.mwer, oracle.mcer, oracle.recall)
+        samples[pair.id] = oracle_entry(entities, reference_sample(pair.reference, pair.hypothesis, entities))
     return {"version": "v1", "threshold": 0.5, "max_ngram": 3, "samples": samples}
 
 

@@ -11,16 +11,17 @@ import argparse
 import os
 import sys
 
-from .align import DEFAULT_THRESHOLD
 from .corpus import (REPORT_FORMATS, IngestionError, load_annotations, load_manifest, write_output,
                      write_report)
-from .runner import GROUP_KEYS, RunConfig, align_corpus, evaluate_corpus
-from .textnorm import DEFAULT_MAX_NGRAM, NORMALIZATION_MODES
+from .runner import RunConfig, align_corpus, evaluate_corpus
+from .textnorm import NORMALIZATION_MODES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INGESTION = 2
 EXIT_SELFCHECK = 3
+
+GROUP_KEYS = ("model", "accent", "domain")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,25 +37,27 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Entity-aware evaluation of ASR transcripts: "
                                  "WER, M-WER, M-CER, and per-category recall.")
     sub = parser.add_subparsers(dest="command", required=True)
+    default = RunConfig()
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--manifest", required=True,
                         help="line-delimited JSON with id/reference/hypothesis records")
     common.add_argument("--annotations", required=True,
                         help="line-delimited JSON with per-id entity annotations")
-    common.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                        help=f"fuzzy-match cutoff in (0, 1] (default {DEFAULT_THRESHOLD})")
-    common.add_argument("--max-ngram", type=int, default=DEFAULT_MAX_NGRAM,
-                        help=f"largest candidate n-gram (default {DEFAULT_MAX_NGRAM})")
-    common.add_argument("--normalization", choices=NORMALIZATION_MODES, default="standard",
-                        help="text normalization policy (default standard)")
+    common.add_argument("--threshold", type=float, default=default.threshold,
+                        help=f"fuzzy-match cutoff in (0, 1] (default {default.threshold})")
+    common.add_argument("--max-ngram", type=int, default=default.max_ngram,
+                        help=f"largest candidate n-gram (default {default.max_ngram})")
+    common.add_argument("--normalization", choices=NORMALIZATION_MODES, default=default.normalization,
+                        help=f"text normalization policy (default {default.normalization})")
     common.add_argument("--strict", action="store_true",
                         help="escalate skippable annotation problems to errors")
-    common.add_argument("--workers", type=int, default=1,
+    common.add_argument("--workers", type=int, default=default.workers,
                         help="processes that score contiguous ranges of the samples, at most "
                              "one per usable CPU; this process scores the first range and "
                              "POSIX-forks one child per other range, and the run is serial "
-                             "where there is no fork. Results do not depend on it (default 1)")
+                             "where there is no fork. Results do not depend on it "
+                             f"(default {default.workers})")
     common.add_argument("--out", default=None,
                         help="output path; the output is UTF-8, the same bytes as on stdout "
                              "(default stdout)")
@@ -77,20 +80,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    """The run's RunConfig; raises ValueError for a bad knob, or for a report
-    section that the format cannot hold."""
+    """The run's RunConfig from its flags; raises ValueError for a bad knob,
+    or for a report section that the format cannot hold. argparse has already
+    rejected an unknown normalization."""
     raw = getattr(args, "group_by", None)  # align has no --group-by
     group_by = () if raw is None else tuple(key.strip() for key in raw.split(",") if key.strip())
     if raw is not None and not group_by:
         raise ValueError(f"group-by {raw!r} names no key; expected a subset of {GROUP_KEYS}")
-    cfg = RunConfig(threshold=args.threshold, max_ngram=args.max_ngram, normalization=args.normalization,
-                    group_by=group_by, workers=args.workers)
+    if not 0 < args.threshold <= 1:
+        raise ValueError(f"threshold must be in (0, 1], got {args.threshold}")
+    if args.max_ngram < 1:
+        raise ValueError(f"max-ngram must be >= 1, got {args.max_ngram}")
+    if args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
+    unknown = set(group_by) - set(GROUP_KEYS)
+    if unknown:
+        raise ValueError(f"unknown group-by key(s) {sorted(unknown)}; expected a subset of {GROUP_KEYS}")
+    if len(set(group_by)) < len(group_by):
+        raise ValueError(f"repeated group-by key in {','.join(group_by)}")
     if args.command == "evaluate":
-        if args.fmt == "csv" and cfg.group_by:
+        if args.fmt == "csv" and group_by:
             raise ValueError("csv reports have no group rows; use json or table with group-by")
         if args.fmt == "table" and args.per_sample:
             raise ValueError("table reports have no per-sample rows; use json or csv with per-sample")
-    return cfg
+    return RunConfig(threshold=args.threshold, max_ngram=args.max_ngram, normalization=args.normalization,
+                     group_by=group_by, workers=args.workers)
 
 
 def main(argv=None) -> int:

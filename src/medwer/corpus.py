@@ -20,10 +20,10 @@ written as UTF-8 to a file or to stdout alike, field order is fixed and
 every rate has four decimals (half-even, via standard float formatting).
 Every json report block (config, corpus, groups, per_sample rows) and every
 `align` record comes from a fixed template, which the tests check against a
-generic rendering of its dict.
+generic rendering of its dict; every csv row comes from one too, which the
+tests read back with the csv module.
 """
 
-import csv
 import json
 import math
 import re
@@ -331,15 +331,10 @@ def render_json(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None,
     yield "\n  ]\n}\n"
 
 
-class _Echo:
-    """A file for csv.writer whose write returns the line, so writerow does too."""
-
-    def write(self, line: str) -> str:
-        return line
-
-
 def render_csv(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None) -> Iterator[str]:
-    """The header line, then one line per sample, then the corpus line."""
+    """The header line, then one line per sample, then the corpus line. A label
+    that holds a comma, a double quote, CR or LF is quoted, its quotes doubled
+    (RFC 4180); every other cell is a count or a rate, which never needs it."""
     header = ["id"]
     for metric in ("wer", "mwer", "mcer"):
         header += [f"{metric}_{f}" for f in ("substitutions", "insertions", "deletions",
@@ -347,24 +342,18 @@ def render_csv(corpus: CorpusMetrics, per_sample: list[SampleMetrics] | None) ->
     for cat in CATEGORIES:
         header += [f"recall_{cat.value}_recalled", f"recall_{cat.value}_total", f"recall_{cat.value}_rate"]
 
-    def row(label: str, m: SampleMetrics | CorpusMetrics) -> list:
-        cells: list = [label]
-        for counts in (m.wer, m.mwer, m.mcer):
-            cells += [counts.substitutions, counts.insertions, counts.deletions,
-                      counts.hits, counts.ref_len, _rate(counts.rate, "")]
-        for cat in CATEGORIES:
-            rc = m.recall.get(cat)
-            if rc is None:
-                cells += ["", "", ""]
-            else:
-                cells += [rc.recalled, rc.total, _rate(rc.rate, "")]
-        return cells
+    def row(label: str, m: SampleMetrics | CorpusMetrics) -> str:
+        cells = [label if set(label).isdisjoint(',"\r\n') else '"' + label.replace('"', '""') + '"']
+        cells += [f"{c.substitutions},{c.insertions},{c.deletions},{c.hits},{c.ref_len},{_rate(c.rate, '')}"
+                  for c in (m.wer, m.mwer, m.mcer)]
+        cells += [",," if (rc := m.recall.get(cat)) is None else f"{rc.recalled},{rc.total},{_rate(rc.rate, '')}"
+                  for cat in CATEGORIES]
+        return ",".join(cells) + "\n"
 
-    writer = csv.writer(_Echo(), lineterminator="\n")
-    yield writer.writerow(header)
+    yield ",".join(header) + "\n"
     for sample in per_sample or []:
-        yield writer.writerow(row(sample.sample_id, sample))
-    yield writer.writerow(row("corpus", corpus))
+        yield row(sample.sample_id, sample)
+    yield row("corpus", corpus)
 
 
 def render_table(corpus: CorpusMetrics, groups: dict[str, CorpusMetrics] | None) -> str:

@@ -2,9 +2,9 @@
 
 The golden corpus lives as ordinary manifest/annotation files under a
 versioned data directory, with an expected.json next to them. golden_entry
-builds a sample's entry there: scripts/regen_expected.py builds it from
-_oracles.reference_sample, and the self-check builds it from the pipeline
-and from reference_sample and holds both to the frozen entry. Check tags:
+builds a sample's entry there, and oracle_entry builds it from
+_oracles.reference_sample: scripts/regen_expected.py writes that, and the
+self-check holds it and the pipeline's entry to the frozen one. Check tags:
 "golden" values are fixed by the curated sentences, "oracle" values are
 reference_sample's, "trivial" values follow from the definitions.
 """
@@ -15,8 +15,6 @@ import re
 from importlib import resources
 from pathlib import Path
 
-from . import align as _align
-from . import textnorm as _textnorm
 from ._oracles import reference_sample
 from .align import EntityAnnotation, EntityCategory
 from .corpus import AnnotationSet, TranscriptPair, load_annotations, load_manifest
@@ -186,6 +184,13 @@ def golden_entry(entities, alignment, wer, mwer, mcer, recall) -> dict:
                        for cat, (recalled, total) in sorted(recall.items(), key=lambda kv: kv[0].value)}}
 
 
+def oracle_entry(entities, oracle) -> dict:
+    """golden_entry on reference_sample's result for the sample's entities."""
+    return golden_entry(entities, [(None, 0.0, False) if match is None else (match.normalized, match.score, exact)
+                                   for match, exact in zip(oracle.alignment, oracle.exact)],
+                        oracle.wer, oracle.mwer, oracle.mcer, oracle.recall)
+
+
 def _parts(entry: dict) -> tuple[list, list, list]:
     """An expected.json entry's (field, value) pairs for each per-sample check, in check order."""
     entities = [(f"entity {e['entity']!r}", e) for e in entry["alignment"]]
@@ -229,8 +234,8 @@ def run_selfcheck() -> tuple[bool, list[str]]:
     def report(name: str, ok: bool, detail: str = "") -> None:
         lines.append(f"PASS {name}" if ok else f"FAIL {name}: {detail}")
 
-    threshold = _align.DEFAULT_THRESHOLD
-    max_n = _textnorm.DEFAULT_MAX_NGRAM
+    cfg = RunConfig()
+    threshold, max_n = cfg.threshold, cfg.max_ngram
     report("config-defaults", threshold == 0.5 and max_n == 3,
            f"expected cutoff 0.5 and trigram candidates, found threshold={threshold} max_ngram={max_n}")
 
@@ -255,7 +260,6 @@ def run_selfcheck() -> tuple[bool, list[str]]:
            and abs(similarity_ratio("digoxin", "dikod sin") - 0.625) <= _TOL,
            "similarity anchors drifted")
 
-    cfg = RunConfig(threshold=threshold, max_ngram=max_n)
     scored = {}  # id -> (aligned entities, (wer, mwer, mcer) counts)
     for pair in pairs:
         entities = annotations[pair.id].entities
@@ -266,9 +270,7 @@ def run_selfcheck() -> tuple[bool, list[str]]:
         entries = (
             golden_entry(entities, [(None if ae.candidate is None else ae.candidate.normalized, ae.score, ae.exact)
                                     for ae in aligned], *observed, sample.recall),
-            golden_entry(entities, [(None, 0.0, False) if match is None else (match.normalized, match.score, exact)
-                                    for match, exact in zip(oracle.alignment, oracle.exact)],
-                         *oracle_counts, oracle.recall),
+            oracle_entry(entities, oracle),
             expected["samples"][pair.id])
         splits = [f"{metric}: pipeline S/I/D/hits {got[:4]} != oracle {want[:4]}"
                   for metric, got, want in zip(_METRICS, observed, oracle_counts) if got[:4] != want[:4]]

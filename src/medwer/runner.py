@@ -16,46 +16,27 @@ label included, is rendered by corpus.
 import os
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .align import DEFAULT_THRESHOLD, AlignedEntity, med_text_align, shared_span_count
 from .corpus import AnnotationSet, TranscriptPair, align_record, group_label
 from .metrics import (CorpusMetrics, SampleMetrics, aggregate, entity_recall,
                       medical_cer, medical_wer, wer)
-from .textnorm import DEFAULT_MAX_NGRAM, NORMALIZATION_MODES, tokenize
-
-GROUP_KEYS = ("model", "accent", "domain")
+from .textnorm import DEFAULT_MAX_NGRAM, tokenize
 
 
-# A dataclass, not a tuple: __post_init__ validates it when it is constructed.
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Knobs for one run: how samples are scored, how they are grouped, and
     how many workers score them. Defaults follow the standard recipe (cutoff
-    0.5, trigram candidates, standard normalization). The files, the strict
-    flag and the report's shape stay with the CLI, which hands them to the
-    loaders and the writer."""
+    0.5, trigram candidates, standard normalization); the CLI's defaults are
+    these. cli._run_config checks the values of a run's flags. The files, the
+    strict flag and the report's shape stay with the CLI."""
 
     threshold: float = DEFAULT_THRESHOLD
     max_ngram: int = DEFAULT_MAX_NGRAM
     normalization: str = "standard"
     group_by: tuple[str, ...] = ()
     workers: int = 1
-
-    def __post_init__(self):
-        if not 0 < self.threshold <= 1:
-            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
-        if self.max_ngram < 1:
-            raise ValueError(f"max-ngram must be >= 1, got {self.max_ngram}")
-        if self.normalization not in NORMALIZATION_MODES:
-            raise ValueError(f"normalization must be one of {NORMALIZATION_MODES}, got {self.normalization!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        unknown = set(self.group_by) - set(GROUP_KEYS)
-        if unknown:
-            raise ValueError(f"unknown group-by key(s) {sorted(unknown)}; expected a subset of {GROUP_KEYS}")
-        if len(set(self.group_by)) < len(self.group_by):
-            raise ValueError(f"repeated group-by key in {','.join(self.group_by)}")
 
 
 def _eval_task(pair: TranscriptPair, annotations: dict[str, AnnotationSet],

@@ -302,6 +302,47 @@ def test_report_section_the_format_cannot_hold_is_a_usage_error(golden_files, tm
     assert (read, out.exists()) == ([], False)
 
 
+_NO_KEY = "group-by ',' names no key; expected a subset of ('model', 'accent', 'domain')"
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--threshold", "0"], "threshold must be in (0, 1], got 0.0", id="threshold-0"),
+    pytest.param(["--threshold", "1.5"], "threshold must be in (0, 1], got 1.5", id="threshold-1.5"),
+    pytest.param(["--max-ngram", "0"], "max-ngram must be >= 1, got 0", id="max-ngram-0"),
+    pytest.param(["--workers", "0"], "workers must be >= 1, got 0", id="workers-0"),
+    pytest.param(["--group-by", "speaker"],
+                 "unknown group-by key(s) ['speaker']; expected a subset of ('model', 'accent', 'domain')",
+                 id="group-by-speaker"),
+    pytest.param(["--group-by", "model,model"], "repeated group-by key in model,model", id="group-by-repeated"),
+    pytest.param(["--group-by", ","], _NO_KEY, id="group-by-no-key"),
+    # the empty group-by is checked first
+    pytest.param(["--group-by", ",", "--threshold", "0"], _NO_KEY, id="group-by-no-key-threshold-0"),
+    pytest.param(["--format", "csv", "--group-by", "model"],
+                 "csv reports have no group rows; use json or table with group-by", id="csv-groups"),
+    pytest.param(["--format", "table", "--per-sample"],
+                 "table reports have no per-sample rows; use json or csv with per-sample", id="table-per-sample"),
+    # argparse's own line, after its usage; Python 3.13 lists the choices unquoted
+    pytest.param(["--normalization", "fancy"], None, id="normalization-fancy"),
+])
+def test_a_bad_flag_is_one_error_line_and_reads_no_file(golden_files, tmp_path, capsys, monkeypatch,
+                                                         flags, message):
+    read = []
+    monkeypatch.setattr(cli, "load_manifest", lambda *args, **kwargs: read.append(args))
+    monkeypatch.setattr(cli, "load_annotations", lambda *args, **kwargs: read.append(args))
+    manifest, annotations = golden_files
+    out = tmp_path / "report"
+    code = cli.main(["evaluate", "--manifest", str(manifest), "--annotations", str(annotations),
+                     "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert (code, read, out.exists()) == (cli.EXIT_USAGE, [], False)
+    if message is None:
+        assert err.splitlines()[-1] in (
+            "medwer evaluate: error: argument --normalization: invalid choice: 'fancy' "
+            f"(choose from {choices})" for choices in ("'standard', 'raw'", "standard, raw"))
+    else:
+        assert err == f"medwer: error: {message}\n"
+
+
 def test_repeated_group_by_key_is_a_usage_error(golden_files, tmp_path, capsys):
     manifest, annotations = golden_files
     out = tmp_path / "report"
@@ -339,8 +380,9 @@ def test_every_public_name_resolves_and_is_listed_once():
 
 def test_importing_the_cli_loads_neither_the_selfcheck_nor_the_pool():
     # evaluate and align pay for no module only selfcheck or --workers > 1 use,
-    # nor for logging: the two diagnostics are plain lines on stderr
-    heavy = ("medwer.fixtures", "medwer._oracles", "multiprocessing", "logging")
+    # nor for logging: the two diagnostics are plain lines on stderr; nor for
+    # csv: a csv report is rendered from a template
+    heavy = ("medwer.fixtures", "medwer._oracles", "multiprocessing", "logging", "csv")
     code = f"import sys, medwer.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(medwer.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -407,7 +449,8 @@ def test_selfcheck_passes_on_pristine_build(capsys):
 
 
 def test_selfcheck_flags_tampered_threshold_default(monkeypatch, capsys):
-    monkeypatch.setattr("medwer.align.DEFAULT_THRESHOLD", 0.9)
+    # the defaults of RunConfig, which a CLI run uses
+    monkeypatch.setattr(RunConfig.__new__, "__defaults__", (0.9, *RunConfig.__new__.__defaults__[1:]))
     assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
     out = capsys.readouterr().out
     assert "FAIL config-defaults" in out

@@ -1,19 +1,22 @@
 import ast
 import codecs
+import csv
+import io
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import annotation_record, pair_record, write_jsonl
 import medwer
 from medwer.align import EntityCategory
 from medwer.corpus import (AnnotationError, ManifestError, TranscriptPair, _sample_json, load_annotations,
-                           load_manifest, render_json, render_table, write_output, write_report)
+                           load_manifest, render_csv, render_json, render_table, write_output, write_report)
 from medwer.fixtures import fixture_path, load_golden, synthetic_corpus
 from medwer.metrics import CorpusMetrics, EditCounts, RecallCount, SampleMetrics, aggregate
 from medwer.runner import RunConfig, align_corpus, evaluate_corpus
@@ -432,7 +435,7 @@ def _traced_peak(write, *args) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("output", ["per-sample-json", "align"])
+@pytest.mark.parametrize("output", ["per-sample-json", "per-sample-csv", "align"])
 def test_writing_the_output_holds_no_copy_of_it(tmp_path, output):
     # the paper's shape: 2000 samples of 30 tokens with 3 entities each
     pairs, annotations = synthetic_corpus(2000, seed=31)
@@ -442,16 +445,18 @@ def test_writing_the_output_holds_no_copy_of_it(tmp_path, output):
         peak = _traced_peak(write_output, align_corpus(pairs, annotations, cfg), path)
     else:
         corpus, samples, _ = evaluate_corpus(pairs, annotations, cfg)
-        peak = _traced_peak(write_report, corpus, samples, "json", path, cfg)
+        peak = _traced_peak(write_report, corpus, samples, output.rsplit("-", 1)[1], path, cfg)
     size = path.stat().st_size
-    assert size > 10 ** 6
-    assert peak < size / 100, f"{peak} bytes traced while writing {size}"
+    # the csv report is about a sixth of the json one
+    small = output == "per-sample-csv"
+    assert size > (10 ** 5 if small else 10 ** 6)
+    assert peak < size / (10 if small else 100), f"{peak} bytes traced while writing {size}"
 
 
 # Small counts give NaN (zero denominator) and whole-number rates often.
 _count = st.one_of(st.integers(0, 3), st.integers(0, 10**9))
-# quotes, backslashes, control, line-separator and astral characters
-_text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\U0001F600'), st.characters()),
+# quotes, backslashes, commas, control, line-separator and astral characters
+_text = st.text(st.one_of(st.sampled_from('"\\,\x00\x1f\x7f\r\n\t\u2028\U0001F600'), st.characters()),
                 min_size=1)
 _edit_counts = st.builds(EditCounts, *[_count] * 5)
 _recall = st.dictionaries(st.sampled_from(list(EntityCategory)), st.builds(RecallCount, _count, _count))
@@ -484,6 +489,17 @@ def test_render_json_matches_the_generic_rendering(samples, corpus, groups, conf
         doc = json.loads(text)
         assert [row["id"] for row in doc.get("per_sample", [])] == [s.sample_id for s in per_sample or []]
         assert list(doc.get("groups", {})) == sorted(groups or {})
+
+
+@given(st.lists(_sample_metrics, max_size=4))
+@example([SampleMetrics(i, EditCounts(), EditCounts(), EditCounts(), {})
+          for i in ("a\x00b", "c\rd", "e\nf", "g,h", 'i"j', "\r\n")])
+def test_csv_reader_gives_back_each_id(samples):
+    if sys.version_info < (3, 11):  # the csv reader rejects NUL before 3.11
+        samples = [s._replace(sample_id=s.sample_id.replace("\x00", "")) for s in samples]
+    rows = list(csv.reader(io.StringIO("".join(render_csv(aggregate(samples), samples)), newline="")))
+    assert [row[0] for row in rows] == ["id", *(s.sample_id for s in samples), "corpus"]
+    assert {len(row) for row in rows} == {len(rows[0])}
 
 
 def test_a_category_missing_from_macro_recall_renders_null():

@@ -26,6 +26,10 @@ from medwer.fixtures import synthetic_corpus
 # entity offsets stay valid.
 _LETTER_MAP = str.maketrans("abcdefghijklmnopqrstuvwxyz", "áḃçďéḟğĥïĵķĺṁñöṗʠřşťüṽŵẋÿž")
 
+# Ids that a csv field quotes (a comma, a double quote, CR, LF), and NUL,
+# which the csv module failed on under 3.10.
+_CSV_IDS = ("a\x00b", "c\rd", "e\nf", "g,h", 'i"j', '"k"', "l\r\nm")
+
 _COMMANDS = {
     "evaluate-json-per-sample": ["evaluate", "--per-sample"],
     "evaluate-csv-per-sample": ["evaluate", "--format", "csv", "--per-sample"],
@@ -57,6 +61,8 @@ _DIGESTS = {
     ("mapped", "evaluate-json-per-sample-groups-w2"): "cdb815d0a519a266a6feffdef782c5c618ccfae5b2e9d9c57eea22706c2c4e53",
     ("mapped", "align-w1"): "9e7751276087796e07429f1b568a2e9df925a560547120303650d87f985613d0",
     ("mapped", "align-w2"): "9e7751276087796e07429f1b568a2e9df925a560547120303650d87f985613d0",
+    ("csv-ids", "evaluate-json-per-sample"): "6707e346020cc3863b9d47349ac726807a588d0090aab9386cbddd573ce26947",
+    ("csv-ids", "evaluate-csv-per-sample"): "985a33268b6f6e2d8ad14dbf1cca30eca65554b6416a0c5adf4ef9a4b13b1e31",
 }
 
 
@@ -69,11 +75,19 @@ def _mapped(pairs, annotations):
     return pairs, annotations
 
 
+def _csv_ids(pairs, annotations):
+    """The first samples renamed to _CSV_IDS."""
+    ids = dict(zip([p.id for p in pairs], _CSV_IDS))
+    return ([dataclasses.replace(p, id=ids.get(p.id, p.id)) for p in pairs],
+            {ids.get(key, key): dataclasses.replace(a, id=ids.get(key, key)) for key, a in annotations.items()})
+
+
 @pytest.fixture(scope="module")
 def corpora(tmp_path_factory):
     pairs, annotations = synthetic_corpus(200, seed=5)
     out = {}
-    for name, corpus in (("ascii", (pairs, annotations)), ("mapped", _mapped(pairs, annotations))):
+    for name, corpus in (("ascii", (pairs, annotations)), ("mapped", _mapped(pairs, annotations)),
+                         ("csv-ids", _csv_ids(pairs, annotations))):
         out[name] = dump_corpus(tmp_path_factory.mktemp(name), *corpus)
     return out
 

